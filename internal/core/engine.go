@@ -205,6 +205,10 @@ type engine struct {
 	cache   *vcache.Cache
 	progKey uint64
 	lookups int64
+	// stages memoizes this tune's HIR-stage compilations (guarded by mu
+	// like the cache misses that use it). It exists exactly when cache
+	// does, so -nocache also checks that the memo is transparent.
+	stages *opt.Stages
 
 	// store is the persistent memo store (Tuner.Store), nil when absent —
 	// and always nil when fault injection is on (see the Tuner.Store doc).
@@ -255,6 +259,11 @@ func (t *Tuner) Tune() (*TuneResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	return e.tune()
+}
+
+func (e *engine) tune() (*TuneResult, error) {
+	t := e.t
 	if e.tb != nil {
 		e.emit(trace.Event{Kind: trace.KindTuneStart,
 			Method: e.methods[e.mi].String(), Detail: t.Dataset.Name})
@@ -321,6 +330,7 @@ func (t *Tuner) newEngine() (*engine, error) {
 		if e.cache == nil {
 			e.cache = vcache.New()
 		}
+		e.stages = opt.NewStages()
 	}
 
 	e.app = Consult(t.Profile, &cfg)
@@ -453,7 +463,7 @@ func (e *engine) resolveLocked(fs opt.FlagSet) (versionInfo, error) {
 		}
 	}
 	compile := func() (*sim.Version, error) {
-		v, err := opt.Compile(e.prog, e.ts, fs, e.t.Mach)
+		v, err := e.stages.Compile(e.prog, e.ts, fs, e.t.Mach)
 		if err == nil && e.faults != nil && fs != opt.O3() && e.faults.Miscompiles(idKey) {
 			fault.Corrupt(v, sched.DeriveSeed(e.faults.Seed, "corrupt/"+idKey))
 		}

@@ -10,6 +10,7 @@ import (
 	"peak/internal/profiling"
 	"peak/internal/sched"
 	"peak/internal/trace"
+	"peak/internal/workloads"
 )
 
 // tracedTune runs one tune of the tiny benchmark with tracing on and
@@ -192,4 +193,46 @@ func TestTuneResultFillMetrics(t *testing.T) {
 		t.Errorf("core.tuning_cycles = %d, want %d", got, 2*res.TuningCycles)
 	}
 	res.FillMetrics(nil) // must not panic
+}
+
+// TestStageMemoPerTune: a cached tune answers repeated HIR-stage work from
+// its stage memo, and a -nocache tune, which has no memo, gives the same
+// result.
+func TestStageMemoPerTune(t *testing.T) {
+	b, ok := workloads.ByName("SWIM")
+	if !ok {
+		t.Fatal("SWIM not found")
+	}
+	m := machine.SPARCII()
+	p, err := profiling.Run(b, b.Train, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tune := func(noCache bool) (*engine, *TuneResult) {
+		cfg := DefaultConfig()
+		cfg.NoCompileCache = noCache
+		tu := &Tuner{Bench: b, Mach: m, Dataset: b.Train, Cfg: cfg, Profile: p, Pool: sched.New(2)}
+		e, err := tu.newEngine()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.tune()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e, res
+	}
+	e, res := tune(false)
+	hits, misses := e.stages.Stats()
+	t.Logf("SWIM/sparc2: %d compiles, %d HIR-stage runs, %d memo hits", hits+misses, misses, hits)
+	if hits == 0 || int64(hits+misses) < res.CacheMisses {
+		t.Errorf("memo hits %d, misses %d for %d compiled flag sets", hits, misses, res.CacheMisses)
+	}
+	ne, nres := tune(true)
+	if ne.stages != nil {
+		t.Error("-nocache tune has a stage memo")
+	}
+	if !reflect.DeepEqual(res, nres) {
+		t.Errorf("memoized tune differs from -nocache tune:\n%+v\n%+v", res, nres)
+	}
 }

@@ -25,16 +25,128 @@ import (
 //	thread-jumps → guess-branch-probability → reorder-blocks →
 //	register allocation (omit-frame-pointer, caller-saves) →
 //	schedule-insns2 → crossjumping/alignment/call-linkage cost modifiers.
+//
+// Compilation is a pure function of (prog, fn, flags, m): no pass may let
+// map iteration order the code it emits.
 func Compile(prog *ir.Program, fn *ir.Func, flags FlagSet, m *machine.Machine) (*sim.Version, error) {
-	return compileInner(prog, fn, flags, m, 0)
+	return (*Stages)(nil).Compile(prog, fn, flags, m)
+}
+
+// Stages runs the Compile pipeline in two stages and memoizes the first.
+// The HIR stage (HIR passes and lowering) reads only the hirFlags subset of
+// the flags and never the machine, so its output is keyed by
+// (prog, fn, flags & hirFlags); the LIR stage (LIR passes, register
+// allocation, cost modifiers) starts from a private copy of that output, so
+// a memo entry is never mutated. Iterative Elimination's candidates differ
+// from their base in one flag, so most of them reuse the base's HIR work.
+//
+// A nil *Stages memoizes nothing: (*Stages)(nil).Compile is Compile. A
+// Stages is not safe for concurrent use, and the programs and functions
+// passed to it must not change while it is in use (the memo keys them by
+// identity).
+type Stages struct {
+	memo         map[hirKey]hirResult
+	hits, misses int
+}
+
+type hirKey struct {
+	prog  *ir.Program
+	fn    *ir.Func
+	flags FlagSet
+}
+
+type hirResult struct {
+	lf  *ir.LFunc
+	err error
+}
+
+// hirFlags are the flags the HIR stage reads.
+const hirFlags = FlagSet(1)<<FInlineFunctions | FlagSet(1)<<FDeleteNullPointerChecks |
+	FlagSet(1)<<FCPropRegisters | FlagSet(1)<<FGCSELoadMotion | FlagSet(1)<<FLoopOptimize |
+	FlagSet(1)<<FGCSEStoreMotion | FlagSet(1)<<FExpensiveOptimizations |
+	FlagSet(1)<<FStrictAliasing | FlagSet(1)<<FStrengthReduce | FlagSet(1)<<FRerunLoopOpt |
+	FlagSet(1)<<FUnrollLoops | FlagSet(1)<<FCSEFollowJumps | FlagSet(1)<<FCSESkipBlocks |
+	FlagSet(1)<<FGCSE | FlagSet(1)<<FForceMem | FlagSet(1)<<FRerunCSEAfterLoop |
+	FlagSet(1)<<FIfConversion | FlagSet(1)<<FIfConversion2
+
+// NewStages returns an empty stage memo.
+func NewStages() *Stages { return &Stages{memo: map[hirKey]hirResult{}} }
+
+// Compile is Compile with the HIR stage answered from, and recorded in,
+// the memo.
+func (s *Stages) Compile(prog *ir.Program, fn *ir.Func, flags FlagSet, m *machine.Machine) (*sim.Version, error) {
+	return s.compile(prog, fn, flags, m, 0)
+}
+
+// Stats reports how many HIR-stage runs the memo answered (hits) and how
+// many it ran (misses).
+func (s *Stages) Stats() (hits, misses int) { return s.hits, s.misses }
+
+// lowered returns a private copy of the HIR stage's output for fn.
+func (s *Stages) lowered(prog *ir.Program, fn *ir.Func, flags FlagSet) (*ir.LFunc, error) {
+	flags &= hirFlags
+	if s == nil {
+		return lowerHIR(prog, fn, flags)
+	}
+	k := hirKey{prog: prog, fn: fn, flags: flags}
+	r, ok := s.memo[k]
+	if ok {
+		s.hits++
+	} else {
+		s.misses++
+		r.lf, r.err = lowerHIR(prog, fn, flags)
+		s.memo[k] = r
+	}
+	if r.err != nil {
+		return nil, r.err
+	}
+	return r.lf.Clone(), nil
 }
 
 const maxCalleeDepth = 8
 
-func compileInner(prog *ir.Program, fn *ir.Func, flags FlagSet, m *machine.Machine, depth int) (*sim.Version, error) {
+func (s *Stages) compile(prog *ir.Program, fn *ir.Func, flags FlagSet, m *machine.Machine, depth int) (*sim.Version, error) {
 	if depth > maxCalleeDepth {
 		return nil, fmt.Errorf("opt: callee nesting exceeds %d in %s", maxCalleeDepth, fn.Name)
 	}
+	lf, err := s.lowered(prog, fn, flags)
+	if err != nil {
+		return nil, err
+	}
+	v, err := compileLIR(lf, fn.Name, flags, m)
+	if err != nil {
+		return nil, err
+	}
+
+	// --- Callees ------------------------------------------------------------
+	callees := map[string]bool{}
+	collectCallees(lf, callees)
+	if len(callees) > 0 {
+		v.Callees = make(map[string]*sim.Version, len(callees))
+		for name := range callees {
+			calleeFn, ok := prog.Funcs[name]
+			if !ok {
+				return nil, fmt.Errorf("opt: %s calls undefined function %q", fn.Name, name)
+			}
+			cv, err := s.compile(prog, calleeFn, flags, m, depth+1)
+			if err != nil {
+				return nil, err
+			}
+			v.Callees[name] = cv
+			v.CodeSize += cv.CodeSize
+		}
+	}
+	return v, nil
+}
+
+// lowerHIR is the HIR stage: it optimizes a copy of fn and lowers it.
+func lowerHIR(prog *ir.Program, fn *ir.Func, flags FlagSet) (*ir.LFunc, error) {
+	return lower.Lower(prog, optimizeHIR(prog, fn, flags))
+}
+
+// optimizeHIR runs the HIR passes on a copy of fn. It must read no flag
+// outside hirFlags.
+func optimizeHIR(prog *ir.Program, fn *ir.Func, flags FlagSet) *ir.Func {
 	work := fn.Clone()
 	namer := newTempNamer(work)
 
@@ -92,12 +204,12 @@ func compileInner(prog *ir.Program, fn *ir.Func, flags FlagSet, m *machine.Machi
 		propagateCopies(work)
 	}
 	eliminateDeadCode(work, prog)
+	return work
+}
 
-	// --- Lowering and LIR passes -----------------------------------------
-	lf, err := lower.Lower(prog, work)
-	if err != nil {
-		return nil, err
-	}
+// compileLIR is the LIR stage: it optimizes lf in place, allocates its
+// registers and derives the version's cost modifiers.
+func compileLIR(lf *ir.LFunc, name string, flags FlagSet, m *machine.Machine) (*sim.Version, error) {
 	if flags.Has(FRegmove) {
 		coalesceMoves(lf)
 	}
@@ -155,7 +267,7 @@ func compileInner(prog *ir.Program, fn *ir.Func, flags FlagSet, m *machine.Machi
 
 	if err := ir.VerifyLFunc(lf); err != nil {
 		return nil, fmt.Errorf("opt: post-pipeline verification failed for %s under %s: %w",
-			fn.Name, flags, err)
+			name, flags, err)
 	}
 
 	// --- Cost modifiers -----------------------------------------------------
@@ -194,34 +306,14 @@ func compileInner(prog *ir.Program, fn *ir.Func, flags FlagSet, m *machine.Machi
 	}
 	mods.StaticPredict = flags.Has(FGuessBranchProbability) || flags.Has(FBranchProbabilities)
 
-	v := &sim.Version{
+	return &sim.Version{
 		LF:         lf,
 		Alloc:      alloc,
 		Mods:       mods,
 		CodeSize:   codeSize,
 		NumOrigins: numOrigins(lf),
 		Label:      flags.String(),
-	}
-
-	// --- Callees ------------------------------------------------------------
-	callees := map[string]bool{}
-	collectCallees(lf, callees)
-	if len(callees) > 0 {
-		v.Callees = make(map[string]*sim.Version, len(callees))
-		for name := range callees {
-			calleeFn, ok := prog.Funcs[name]
-			if !ok {
-				return nil, fmt.Errorf("opt: %s calls undefined function %q", fn.Name, name)
-			}
-			cv, err := compileInner(prog, calleeFn, flags, m, depth+1)
-			if err != nil {
-				return nil, err
-			}
-			v.Callees[name] = cv
-			v.CodeSize += cv.CodeSize
-		}
-	}
-	return v, nil
+	}, nil
 }
 
 func lfHasCalls(f *ir.LFunc) bool {

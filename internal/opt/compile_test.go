@@ -9,6 +9,7 @@ import (
 	"peak/internal/irbuild"
 	"peak/internal/machine"
 	"peak/internal/sim"
+	"peak/internal/workloads"
 )
 
 // testKernel bundles a program, its entry function, and an input generator.
@@ -387,6 +388,27 @@ func TestFlagDocsComplete(t *testing.T) {
 	for _, f := range AllFlags() {
 		if FlagDoc(f) == "" {
 			t.Errorf("flag %s has no documentation", f)
+		}
+	}
+}
+
+// TestHIRStageReadsOnlyHIRFlags: the stage memo keys the HIR stage by
+// flags & hirFlags, so the stage's output must not depend on any other
+// flag. Compare it unmasked and masked over the O3 family and random sets.
+func TestHIRStageReadsOnlyHIRFlags(t *testing.T) {
+	for _, b := range workloads.All() {
+		for _, fs := range flagFamily(6) {
+			full, err := lowerHIR(b.Prog, b.TS, fs)
+			if err != nil {
+				t.Fatalf("%s %s: %v", b.Name, fs, err)
+			}
+			masked, err := lowerHIR(b.Prog, b.TS, fs&hirFlags)
+			if err != nil {
+				t.Fatalf("%s %s: %v", b.Name, fs, err)
+			}
+			if full.String() != masked.String() {
+				t.Errorf("%s %s: HIR stage reads a flag outside hirFlags", b.Name, fs)
+			}
 		}
 	}
 }

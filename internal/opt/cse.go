@@ -1,6 +1,10 @@
 package opt
 
-import "peak/internal/ir"
+import (
+	"maps"
+
+	"peak/internal/ir"
+)
 
 // cseOpts selects the scope and memory model of common-subexpression
 // elimination. Plain local CSE (within straight-line segments, table cleared
@@ -36,23 +40,35 @@ type cseState struct {
 	opts   cseOpts
 	namer  *tempNamer
 	table  map[string]*cseEntry
-	worthy map[string]bool
-	counts map[string]int
+	counts map[string]int // occurrences per key; 2 or more is worth a temp
+	// regions holds the kill summary of every If, For and While, computed
+	// once before rewriting. Rewriting adds only fresh temps to a region,
+	// and no table entry outside the region can name them, so the summary
+	// serves both the kill before a region and the kill after it.
+	regions map[ir.Stmt]*regionSummary
+	key     []byte // reused by keyOf
 }
 
 // eliminateCommonSubexprs runs CSE over the function body.
 func eliminateCommonSubexprs(fn *ir.Func, prog *ir.Program, opts cseOpts, namer *tempNamer) {
 	c := &cseState{
 		fn: fn, prog: prog, opts: opts, namer: namer,
-		table:  map[string]*cseEntry{},
-		worthy: map[string]bool{},
-		counts: map[string]int{},
+		counts:  map[string]int{},
+		regions: map[ir.Stmt]*regionSummary{},
 	}
 	// Pass 1: find expressions that occur at least twice while available.
 	c.countStmts(fn.Body)
 	// Pass 2: materialize temps and replace occurrences.
+	newRegionSummarizer(prog, c.regions).list(fn.Body)
 	c.table = map[string]*cseEntry{}
 	fn.Body = c.rewriteStmts(fn.Body)
+}
+
+// keyOf writes e's exprKey into c.key and returns it; the
+// bytes are valid until the next call.
+func (c *cseState) keyOf(e ir.Expr) []byte {
+	c.key = appendExprKey(c.key[:0], e)
+	return c.key
 }
 
 func (c *cseState) eligible(e ir.Expr) bool {
@@ -66,19 +82,26 @@ func (c *cseState) eligible(e ir.Expr) bool {
 	default:
 		return false
 	}
-	p := analyzeExpr(e)
-	if p.hasUserCall {
-		return false
-	}
-	if p.hasLoad && !c.opts.loadReuse {
+	var hasLoad, hasCall, userCall bool
+	size := 0
+	walkExpr(e, func(x ir.Expr) {
+		size++
+		switch ex := x.(type) {
+		case *ir.ArrayRef:
+			hasLoad = true
+		case *ir.CallExpr:
+			hasCall = true
+			if _, ok := ir.IsIntrinsic(ex.Fn); !ok {
+				userCall = true
+			}
+		}
+	})
+	if userCall || (hasLoad && !c.opts.loadReuse) {
 		return false
 	}
 	// Cheap scalar expressions are not worth a temporary: recomputing
 	// an add is as fast as the move, and the temp raises pressure.
-	if !p.hasLoad && !p.hasCall && exprSize(e) < 4 {
-		return false
-	}
-	return true
+	return hasLoad || hasCall || size >= 4
 }
 
 // --- kill operations (shared semantics between the two passes) -----------
@@ -88,10 +111,6 @@ func (c *cseState) killVar(name string) {
 		if e.vars[name] {
 			delete(c.table, k)
 		}
-	}
-	for k := range c.counts {
-		// counts are keyed identically; recompute lazily by clearing.
-		_ = k
 	}
 }
 
@@ -107,7 +126,7 @@ func (c *cseState) killStore(arr string) {
 }
 
 func (c *cseState) killCalls() {
-	c.table = map[string]*cseEntry{}
+	clear(c.table)
 }
 
 // --- pass 1: occurrence counting ------------------------------------------
@@ -119,11 +138,8 @@ func (c *cseState) countStmts(list []ir.Stmt) {
 	countExpr := func(e ir.Expr) {
 		walkExpr(e, func(x ir.Expr) {
 			if c.eligible(x) {
-				k := exprKey(x)
-				c.counts[k]++
-				if c.counts[k] >= 2 {
-					c.worthy[k] = true
-				}
+				k := c.keyOf(x)
+				c.counts[string(k)] = c.counts[string(k)] + 1
 			}
 		})
 	}
@@ -168,12 +184,12 @@ func (c *cseState) rewriteStmts(list []ir.Stmt) []ir.Stmt {
 			switch lhs := st.Lhs.(type) {
 			case *ir.ArrayRef:
 				lhs.Index = c.replace(lhs.Index, insert)
-				if analyzeExpr(st.Rhs).hasUserCall || analyzeExpr(lhs.Index).hasUserCall {
+				if hasUserCall(st.Rhs) || hasUserCall(lhs.Index) {
 					c.killCalls()
 				}
 				c.killStore(lhs.Name)
 			case *ir.VarRef:
-				if analyzeExpr(st.Rhs).hasUserCall {
+				if hasUserCall(st.Rhs) {
 					c.killCalls()
 				}
 				c.killVar(lhs.Name)
@@ -181,35 +197,35 @@ func (c *cseState) rewriteStmts(list []ir.Stmt) []ir.Stmt {
 			out = append(out, st)
 		case *ir.If:
 			st.Cond = c.replace(st.Cond, insert)
-			if analyzeExpr(st.Cond).hasUserCall {
+			if hasUserCall(st.Cond) {
 				c.killCalls()
 			}
 			st.Then = c.rewriteNested(st.Then)
 			st.Else = c.rewriteNested(st.Else)
-			c.applyRegionKills(st.Then, st.Else)
+			c.applyRegionKills(c.regions[st])
 			keep := (len(st.Else) > 0 && c.opts.followJumps) ||
 				(len(st.Else) == 0 && c.opts.skipBlocks) || c.opts.global
 			if !keep {
-				c.table = map[string]*cseEntry{}
+				clear(c.table)
 			}
 			out = append(out, st)
 		case *ir.For:
 			st.From = c.replace(st.From, insert)
 			c.killVar(st.Var)
-			c.applyRegionKills(st.Body, nil)
+			c.applyRegionKills(c.regions[st])
 			st.Body = c.rewriteNested(st.Body)
-			c.applyRegionKills(st.Body, nil)
+			c.applyRegionKills(c.regions[st])
 			c.killVar(st.Var)
 			if !c.opts.global {
-				c.table = map[string]*cseEntry{}
+				clear(c.table)
 			}
 			out = append(out, st)
 		case *ir.While:
-			c.applyRegionKills(st.Body, nil)
+			c.applyRegionKills(c.regions[st])
 			st.Body = c.rewriteNested(st.Body)
-			c.applyRegionKills(st.Body, nil)
+			c.applyRegionKills(c.regions[st])
 			if !c.opts.global {
-				c.table = map[string]*cseEntry{}
+				clear(c.table)
 			}
 			out = append(out, st)
 		case *ir.Return:
@@ -238,88 +254,58 @@ func (c *cseState) rewriteNested(body []ir.Stmt) []ir.Stmt {
 		return nil
 	}
 	saved := c.table
-	seed := map[string]*cseEntry{}
 	if c.opts.global {
-		for k, v := range saved {
-			seed[k] = v
-		}
+		c.table = maps.Clone(saved)
+	} else {
+		c.table = map[string]*cseEntry{}
 	}
-	c.table = seed
 	outBody := c.rewriteStmts(body)
 	c.table = saved
 	return outBody
 }
 
-// applyRegionKills removes table entries invalidated by assignments or
-// stores within the given regions.
-func (c *cseState) applyRegionKills(a, b []ir.Stmt) {
-	vars := map[string]bool{}
-	assignedVars(a, vars)
-	assignedVars(b, vars)
-	for v := range vars {
-		c.killVar(v)
+// applyRegionKills removes the table entries a region invalidates: those
+// reading a variable it assigns, those loading an array it stores (any
+// load, without strict aliasing) and, when it calls a user function, all.
+func (c *cseState) applyRegionKills(r *regionSummary) {
+	if len(c.table) == 0 {
+		return
 	}
-	arrs := map[string]bool{}
-	storedArrays(a, c.prog, arrs)
-	storedArrays(b, c.prog, arrs)
-	for arr := range arrs {
-		c.killStore(arr)
-	}
-	if regionHasUserCall(a) || regionHasUserCall(b) {
+	if r.userCall {
 		c.killCalls()
+		return
+	}
+	for k, e := range c.table {
+		if killedBy(e.vars, r.vars) ||
+			(len(e.loads) > 0 && len(r.arrays) > 0 && (!c.opts.strictAlias || killedBy(e.loads, r.arrays))) {
+			delete(c.table, k)
+		}
 	}
 }
 
-func regionHasUserCall(list []ir.Stmt) bool {
-	found := false
-	var walk func(list []ir.Stmt)
-	check := func(e ir.Expr) {
-		if e != nil && analyzeExpr(e).hasUserCall {
-			found = true
+// killedBy reports whether the two name sets intersect.
+func killedBy(uses, killed map[string]bool) bool {
+	if len(killed) == 0 {
+		return false
+	}
+	for n := range uses {
+		if killed[n] {
+			return true
 		}
 	}
-	walk = func(list []ir.Stmt) {
-		for _, s := range list {
-			switch st := s.(type) {
-			case *ir.Assign:
-				check(st.Rhs)
-				check(st.Lhs)
-			case *ir.If:
-				check(st.Cond)
-				walk(st.Then)
-				walk(st.Else)
-			case *ir.For:
-				check(st.From)
-				check(st.To)
-				walk(st.Body)
-			case *ir.While:
-				check(st.Cond)
-				walk(st.Body)
-			case *ir.Return:
-				check(st.Value)
-			case *ir.CallStmt:
-				if _, ok := ir.IsIntrinsic(st.Fn); !ok {
-					found = true
-				}
-				for _, a := range st.Args {
-					check(a)
-				}
-			}
-		}
-	}
-	walk(list)
-	return found
+	return false
 }
 
 // replace rewrites e top-down: a whole-node table hit becomes a temp
 // reference; the first occurrence of a worthy expression is materialized
 // into a fresh temp (inserted via insert) and recorded.
 func (c *cseState) replace(e ir.Expr, insert func(ir.Stmt)) ir.Expr {
-	key := exprKey(e)
-	if ent, ok := c.table[key]; ok {
+	k := c.keyOf(e)
+	if ent, ok := c.table[string(k)]; ok {
 		return &ir.VarRef{Name: ent.temp}
 	}
-	if c.worthy[key] && c.eligible(e) {
+	if c.counts[string(k)] >= 2 && c.eligible(e) {
+		key := string(k) // keyOf overwrites k below
 		// Analyze before rewriting children: the kill sets must name the
 		// original variables and arrays, not the temps substituted below.
 		p := analyzeExpr(e)

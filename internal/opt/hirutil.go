@@ -2,7 +2,8 @@ package opt
 
 import (
 	"fmt"
-	"strings"
+	"slices"
+	"strconv"
 
 	"peak/internal/ir"
 )
@@ -10,33 +11,68 @@ import (
 // exprKey returns a canonical string for structural expression equality,
 // with commutative operands ordered canonically so `a+b` and `b+a` match.
 func exprKey(e ir.Expr) string {
+	return string(appendExprKey(nil, e))
+}
+
+// appendExprKey appends exprKey(e) to b. A commutative binary node orders
+// its operand keys bytewise, smaller first; the operands are written in
+// place and rotated, so no intermediate strings are built.
+func appendExprKey(b []byte, e ir.Expr) []byte {
 	switch ex := e.(type) {
 	case *ir.ConstInt:
-		return fmt.Sprintf("i%d", ex.V)
+		return strconv.AppendInt(append(b, 'i'), ex.V, 10)
 	case *ir.ConstFloat:
-		return fmt.Sprintf("f%x", ex.V)
+		return strconv.AppendFloat(append(b, 'f'), ex.V, 'x', -1, 64)
 	case *ir.VarRef:
-		return "v:" + ex.Name
+		return append(append(b, "v:"...), ex.Name...)
 	case *ir.ArrayRef:
-		return "m:" + ex.Name + "[" + exprKey(ex.Index) + "]"
+		b = append(append(append(b, "m:"...), ex.Name...), '[')
+		return append(appendExprKey(b, ex.Index), ']')
 	case *ir.Unary:
-		return ex.Op.String() + "(" + exprKey(ex.X) + ")"
+		b = append(append(b, ex.Op.String()...), '(')
+		return append(appendExprKey(b, ex.X), ')')
 	case *ir.Binary:
-		x, y := exprKey(ex.X), exprKey(ex.Y)
-		if ex.Op.Commutative() && y < x {
-			x, y = y, x
+		// "(x op#typ y)"
+		b = append(b, '(')
+		x := len(b)
+		b = appendExprKey(b, ex.X)
+		y := len(b)
+		b = appendExprKey(b, ex.Y)
+		first := y - x
+		if ex.Op.Commutative() && string(b[y:]) < string(b[x:y]) {
+			rotateLeft(b[x:], first)
+			first = len(b) - y
 		}
-		return fmt.Sprintf("(%s %s#%d %s)", x, ex.Op, ex.Typ, y)
+		mid := len(b)
+		b = append(append(b, ' '), ex.Op.String()...)
+		b = strconv.AppendInt(append(b, '#'), int64(ex.Typ), 10)
+		b = append(b, ' ')
+		// Move the separator between the two operands.
+		rotateLeft(b[x+first:], mid-(x+first))
+		return append(b, ')')
 	case *ir.CallExpr:
-		parts := make([]string, len(ex.Args))
+		b = append(append(append(b, "c:"...), ex.Fn...), '(')
 		for i, a := range ex.Args {
-			parts[i] = exprKey(a)
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendExprKey(b, a)
 		}
-		return "c:" + ex.Fn + "(" + strings.Join(parts, ",") + ")"
+		return append(b, ')')
 	case *ir.Select:
-		return "s:(" + exprKey(ex.Cond) + "?" + exprKey(ex.X) + ":" + exprKey(ex.Y) + ")"
+		b = appendExprKey(append(b, "s:("...), ex.Cond)
+		b = appendExprKey(append(b, '?'), ex.X)
+		b = appendExprKey(append(b, ':'), ex.Y)
+		return append(b, ')')
 	}
-	return fmt.Sprintf("?%T", e)
+	return fmt.Appendf(b, "?%T", e)
+}
+
+// rotateLeft rotates s left by k bytes in place.
+func rotateLeft(s []byte, k int) {
+	slices.Reverse(s[:k])
+	slices.Reverse(s[k:])
+	slices.Reverse(s)
 }
 
 // walkExpr visits e and all subexpressions, pre-order.
@@ -142,68 +178,144 @@ func assignedVars(list []ir.Stmt, out map[string]bool) {
 	}
 }
 
-// storedArrays collects names of arrays stored to anywhere in the list,
-// following calls through prog when it is non-nil.
-func storedArrays(list []ir.Stmt, prog *ir.Program, out map[string]bool) {
-	var visitCall func(fn string)
-	seen := map[string]bool{}
-	visitCall = func(fn string) {
-		if _, ok := ir.IsIntrinsic(fn); ok {
-			return
-		}
-		if prog == nil || seen[fn] {
-			return
-		}
-		seen[fn] = true
-		if callee, ok := prog.Funcs[fn]; ok {
-			storedArrays(callee.Body, prog, out)
-		}
-	}
-	var walk func(list []ir.Stmt)
-	checkCalls := func(e ir.Expr) {
-		walkExpr(e, func(x ir.Expr) {
-			if c, ok := x.(*ir.CallExpr); ok {
-				visitCall(c.Fn)
-			}
-		})
-	}
-	walk = func(list []ir.Stmt) {
-		for _, s := range list {
-			switch st := s.(type) {
-			case *ir.Assign:
-				if a, ok := st.Lhs.(*ir.ArrayRef); ok {
-					out[a.Name] = true
-					checkCalls(a.Index)
-				}
-				checkCalls(st.Rhs)
-			case *ir.If:
-				checkCalls(st.Cond)
-				walk(st.Then)
-				walk(st.Else)
-			case *ir.For:
-				checkCalls(st.From)
-				checkCalls(st.To)
-				walk(st.Body)
-			case *ir.While:
-				checkCalls(st.Cond)
-				walk(st.Body)
-			case *ir.Return:
-				if st.Value != nil {
-					checkCalls(st.Value)
-				}
-			case *ir.CallStmt:
-				visitCall(st.Fn)
-				for _, a := range st.Args {
-					checkCalls(a)
-				}
-			}
-		}
-	}
-	walk(list)
-	return
+// regionSummary is what executing a statement list can invalidate: the
+// scalars it assigns (loop variables included), the arrays it stores (through
+// user calls too) and whether it calls a user function. The maps are
+// allocated on first insert.
+type regionSummary struct {
+	vars     map[string]bool
+	arrays   map[string]bool
+	userCall bool
 }
 
-// exprProps summarizes an expression for legality checks.
+func (s *regionSummary) addVar(name string) {
+	if s.vars == nil {
+		s.vars = map[string]bool{}
+	}
+	s.vars[name] = true
+}
+
+func (s *regionSummary) addArray(name string) {
+	if s.arrays == nil {
+		s.arrays = map[string]bool{}
+	}
+	s.arrays[name] = true
+}
+
+func (s *regionSummary) merge(o *regionSummary) {
+	for v := range o.vars {
+		s.addVar(v)
+	}
+	s.mergeArrays(o)
+	s.userCall = s.userCall || o.userCall
+}
+
+func (s *regionSummary) mergeArrays(o *regionSummary) {
+	for a := range o.arrays {
+		s.addArray(a)
+	}
+}
+
+// regionSummarizer computes region summaries in one bottom-up walk: a
+// list's summary is the union of its statements' own effects and the
+// summaries of the regions nested in it. When regions is non-nil, the walk
+// records there the summary of every If (both arms together), For and
+// While (the body) it passes. callees memoizes the arrays each user
+// function stores, transitively.
+type regionSummarizer struct {
+	prog    *ir.Program
+	regions map[ir.Stmt]*regionSummary
+	callees map[string]*regionSummary
+}
+
+func newRegionSummarizer(prog *ir.Program, regions map[ir.Stmt]*regionSummary) *regionSummarizer {
+	return &regionSummarizer{prog: prog, regions: regions, callees: map[string]*regionSummary{}}
+}
+
+func (rs *regionSummarizer) list(list []ir.Stmt) *regionSummary {
+	s := &regionSummary{}
+	for _, st := range list {
+		switch st := st.(type) {
+		case *ir.Assign:
+			switch lhs := st.Lhs.(type) {
+			case *ir.VarRef:
+				s.addVar(lhs.Name)
+			case *ir.ArrayRef:
+				s.addArray(lhs.Name)
+				rs.expr(s, lhs.Index)
+			}
+			rs.expr(s, st.Rhs)
+		case *ir.If:
+			rs.expr(s, st.Cond)
+			r := rs.list(st.Then)
+			r.merge(rs.list(st.Else))
+			rs.nested(s, st, r)
+		case *ir.For:
+			s.addVar(st.Var)
+			rs.expr(s, st.From)
+			rs.expr(s, st.To)
+			rs.nested(s, st, rs.list(st.Body))
+		case *ir.While:
+			rs.expr(s, st.Cond)
+			rs.nested(s, st, rs.list(st.Body))
+		case *ir.Return:
+			rs.expr(s, st.Value)
+		case *ir.CallStmt:
+			rs.call(s, st.Fn)
+			for _, a := range st.Args {
+				rs.expr(s, a)
+			}
+		}
+	}
+	return s
+}
+
+func (rs *regionSummarizer) nested(s *regionSummary, st ir.Stmt, r *regionSummary) {
+	if rs.regions != nil {
+		rs.regions[st] = r
+	}
+	s.merge(r)
+}
+
+func (rs *regionSummarizer) expr(s *regionSummary, e ir.Expr) {
+	walkExpr(e, func(x ir.Expr) {
+		if c, ok := x.(*ir.CallExpr); ok {
+			rs.call(s, c.Fn)
+		}
+	})
+}
+
+// call adds a call of fn: a user function marks the region as calling and
+// contributes every array it stores.
+func (rs *regionSummarizer) call(s *regionSummary, fn string) {
+	if _, ok := ir.IsIntrinsic(fn); ok {
+		return
+	}
+	s.userCall = true
+	if rs.prog == nil {
+		return
+	}
+	callee, ok := rs.prog.Funcs[fn]
+	if !ok {
+		return
+	}
+	cs, ok := rs.callees[fn]
+	if !ok {
+		rs.callees[fn] = &regionSummary{} // a placeholder ends call cycles
+		sub := &regionSummarizer{prog: rs.prog, callees: rs.callees}
+		cs = sub.list(callee.Body)
+		rs.callees[fn] = cs
+	}
+	s.mergeArrays(cs)
+}
+
+// summarizeRegion returns the summary of one statement list.
+func summarizeRegion(list []ir.Stmt, prog *ir.Program) *regionSummary {
+	return newRegionSummarizer(prog, nil).list(list)
+}
+
+// exprProps summarizes an expression for legality checks. The name sets are
+// nil until the expression loads an array or reads a variable.
 type exprProps struct {
 	hasLoad     bool
 	hasUserCall bool
@@ -213,13 +325,19 @@ type exprProps struct {
 }
 
 func analyzeExpr(e ir.Expr) exprProps {
-	p := exprProps{loads: map[string]bool{}, vars: map[string]bool{}}
+	var p exprProps
 	walkExpr(e, func(x ir.Expr) {
 		switch ex := x.(type) {
 		case *ir.ArrayRef:
 			p.hasLoad = true
+			if p.loads == nil {
+				p.loads = map[string]bool{}
+			}
 			p.loads[ex.Name] = true
 		case *ir.VarRef:
+			if p.vars == nil {
+				p.vars = map[string]bool{}
+			}
 			p.vars[ex.Name] = true
 		case *ir.CallExpr:
 			p.hasCall = true
@@ -229,6 +347,18 @@ func analyzeExpr(e ir.Expr) exprProps {
 		}
 	})
 	return p
+}
+
+// hasUserCall reports whether e calls a user (non-intrinsic) function.
+func hasUserCall(e ir.Expr) bool {
+	found := false
+	walkExpr(e, func(x ir.Expr) {
+		if c, ok := x.(*ir.CallExpr); ok && !found {
+			_, intrinsic := ir.IsIntrinsic(c.Fn)
+			found = !intrinsic
+		}
+	})
+	return found
 }
 
 // exprSize counts operator/reference nodes (a rough cost proxy).

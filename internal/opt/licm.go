@@ -1,6 +1,10 @@
 package opt
 
-import "peak/internal/ir"
+import (
+	"slices"
+
+	"peak/internal/ir"
+)
 
 // licmOpts configures loop-invariant code motion (loop-optimize) and its
 // memory extensions.
@@ -58,13 +62,11 @@ type loopInfo struct {
 }
 
 func summarizeLoop(body []ir.Stmt, loopVar string, prog *ir.Program) *loopInfo {
-	info := &loopInfo{killed: map[string]bool{}, stored: map[string]bool{}}
-	assignedVars(body, info.killed)
+	s := summarizeRegion(body, prog)
 	if loopVar != "" {
-		info.killed[loopVar] = true
+		s.addVar(loopVar)
 	}
-	storedArrays(body, prog, info.stored)
-	info.hasCall = regionHasUserCall(body)
+	info := &loopInfo{killed: s.vars, stored: s.arrays, hasCall: s.userCall}
 	var walk func(list []ir.Stmt)
 	walk = func(list []ir.Stmt) {
 		for _, s := range list {
@@ -297,7 +299,15 @@ func promoteStores(body []ir.Stmt, info *loopInfo, opts licmOpts, fn *ir.Func, p
 	}
 	walk(body)
 
-	for arr, byKey := range refs {
+	// Temps are handed out in array-name order, never in map order, so
+	// the emitted code is a pure function of the input.
+	arrs := make([]string, 0, len(refs))
+	for arr := range refs {
+		arrs = append(arrs, arr)
+	}
+	slices.Sort(arrs)
+	for _, arr := range arrs {
+		byKey := refs[arr]
 		if !info.stored[arr] {
 			continue // no store: plain load hoisting already handles it
 		}

@@ -1,12 +1,15 @@
 package opt
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"peak/internal/ir"
+	"peak/internal/workloads"
 )
 
 // randExpr builds a random pure scalar expression over variables a,b,c.
@@ -138,6 +141,87 @@ func TestQuickExprKeyCanonical(t *testing.T) {
 	df := &ir.Binary{Op: ir.OpDiv, Typ: ir.F64, X: a, Y: b}
 	if exprKey(di) == exprKey(df) {
 		t.Error("int and float division share a key")
+	}
+}
+
+// exprKeySprintf is exprKey as first written with fmt.Sprintf. The key text
+// is compared (commutative operands are ordered by it), so appendExprKey
+// must reproduce it byte for byte.
+func exprKeySprintf(e ir.Expr) string {
+	switch ex := e.(type) {
+	case *ir.ConstInt:
+		return fmt.Sprintf("i%d", ex.V)
+	case *ir.ConstFloat:
+		return fmt.Sprintf("f%x", ex.V)
+	case *ir.VarRef:
+		return "v:" + ex.Name
+	case *ir.ArrayRef:
+		return "m:" + ex.Name + "[" + exprKeySprintf(ex.Index) + "]"
+	case *ir.Unary:
+		return ex.Op.String() + "(" + exprKeySprintf(ex.X) + ")"
+	case *ir.Binary:
+		x, y := exprKeySprintf(ex.X), exprKeySprintf(ex.Y)
+		if ex.Op.Commutative() && y < x {
+			x, y = y, x
+		}
+		return fmt.Sprintf("(%s %s#%d %s)", x, ex.Op, ex.Typ, y)
+	case *ir.CallExpr:
+		parts := make([]string, len(ex.Args))
+		for i, a := range ex.Args {
+			parts[i] = exprKeySprintf(a)
+		}
+		return "c:" + ex.Fn + "(" + strings.Join(parts, ",") + ")"
+	case *ir.Select:
+		return "s:(" + exprKeySprintf(ex.Cond) + "?" + exprKeySprintf(ex.X) + ":" + exprKeySprintf(ex.Y) + ")"
+	}
+	return fmt.Sprintf("?%T", e)
+}
+
+// TestExprKeyMatchesSprintf checks exprKey against the fmt-based formatter
+// on edge-case constants, every operator shape, random trees and every
+// expression of the 14 kernels before and after the HIR stage.
+func TestExprKeyMatchesSprintf(t *testing.T) {
+	a, b := &ir.VarRef{Name: "a"}, &ir.VarRef{Name: "bb"}
+	var cases []ir.Expr
+	for _, v := range []int64{0, -1, 7, math.MaxInt64, math.MinInt64} {
+		cases = append(cases, &ir.ConstInt{V: v})
+	}
+	for _, v := range []float64{0, math.Copysign(0, -1), 1, -2.5, 1e300, 5e-324,
+		math.Inf(1), math.Inf(-1), math.NaN()} {
+		cases = append(cases, &ir.ConstFloat{V: v})
+	}
+	for op := ir.OpAdd; op <= ir.OpGe; op++ {
+		for _, typ := range []ir.Type{ir.I64, ir.F64} {
+			cases = append(cases,
+				&ir.Binary{Op: op, Typ: typ, X: a, Y: b},
+				&ir.Binary{Op: op, Typ: typ, X: b, Y: &ir.Binary{Op: ir.OpMul, Typ: typ, X: b, Y: a}})
+		}
+	}
+	cases = append(cases,
+		&ir.Unary{Op: ir.OpNeg, X: &ir.ArrayRef{Name: "m", Index: &ir.ConstInt{V: 3}}},
+		&ir.CallExpr{Fn: "sqrt", Args: []ir.Expr{a, &ir.ConstFloat{V: 2}}},
+		&ir.CallExpr{Fn: "f"},
+		&ir.Select{Cond: a, X: b, Y: &ir.ConstInt{V: 1}},
+		nil)
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 500; i++ {
+		cases = append(cases, randExpr(rng, 5))
+	}
+	for _, bm := range workloads.All() {
+		for _, name := range sortedFuncNames(bm.Prog) {
+			fn := bm.Prog.Funcs[name]
+			for _, f := range []*ir.Func{fn, optimizeHIR(bm.Prog, fn, O3())} {
+				rewriteStmtExprs(f.Clone().Body, func(e ir.Expr) ir.Expr {
+					cases = append(cases, e)
+					return e
+				})
+			}
+		}
+	}
+	for _, e := range cases {
+		if got, want := exprKey(e), exprKeySprintf(e); got != want {
+			t.Errorf("exprKey = %q, want %q", got, want)
+		}
 	}
 }
 

@@ -1,6 +1,10 @@
 package opt
 
-import "peak/internal/ir"
+import (
+	"slices"
+
+	"peak/internal/ir"
+)
 
 // schedOpts configures the list scheduler.
 type schedOpts struct {
@@ -56,12 +60,20 @@ func renameRegisters(f *ir.LFunc) {
 	for _, b := range f.Blocks {
 		// For each register, find def positions in this block.
 		defsAt := map[ir.Reg][]int{}
+		var regs []ir.Reg
 		for i := range b.Instrs {
 			if d := b.Instrs[i].Def(); d != ir.NoReg {
+				if defsAt[d] == nil {
+					regs = append(regs, d)
+				}
 				defsAt[d] = append(defsAt[d], i)
 			}
 		}
-		for reg, positions := range defsAt {
+		// Fresh registers are numbered in register order, never in map
+		// order, so the emitted code is a pure function of the input.
+		slices.Sort(regs)
+		for _, reg := range regs {
+			positions := defsAt[reg]
 			// Every def except the last can be renamed.
 			for pi := 0; pi < len(positions)-1; pi++ {
 				i, j := positions[pi], positions[pi+1]

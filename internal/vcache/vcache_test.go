@@ -399,3 +399,40 @@ func TestHitRateZeroLookups(t *testing.T) {
 		t.Fatalf("Summary missing hit rate: %s", st.Summary())
 	}
 }
+
+// TestCompileDeterministic compiles every kernel under the whole O3 family
+// (-O3 and -O3 minus each flag) twice on both machines and requires equal
+// Fingerprint128s: compilation must be a pure function of its inputs, or
+// code dedup and memo keys drift between runs.
+func TestCompileDeterministic(t *testing.T) {
+	family := []opt.FlagSet{opt.O3()}
+	for _, f := range opt.AllFlags() {
+		family = append(family, opt.O3().Without(f))
+	}
+	benches := workloads.All()
+	var wg sync.WaitGroup
+	for _, m := range []*machine.Machine{machine.SPARCII(), machine.PentiumIV()} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, b := range benches {
+				for _, fs := range family {
+					var fps [2]FP128
+					for i := range fps {
+						v, err := opt.Compile(b.Prog, b.TS, fs, m)
+						if err != nil {
+							t.Errorf("%s/%s %s: %v", b.Name, m.Name, fs, err)
+							return
+						}
+						v.Freeze()
+						fps[i] = Fingerprint128(v)
+					}
+					if fps[0] != fps[1] {
+						t.Errorf("%s/%s %s: fingerprints %s and %s", b.Name, m.Name, fs, fps[0], fps[1])
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
