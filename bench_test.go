@@ -27,6 +27,7 @@ import (
 	"peak/internal/opt"
 	"peak/internal/regress"
 	"peak/internal/sim"
+	"peak/internal/vcache"
 	"peak/internal/workloads"
 )
 
@@ -35,7 +36,7 @@ import (
 func benchmarkTable1(b *testing.B, m *machine.Machine) {
 	cfg := core.DefaultConfig()
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Table1(m, experiments.PaperWindows, &cfg)
+		rows, err := experiments.Table1(m, experiments.PaperWindows, &cfg, experiments.Env{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -71,7 +72,7 @@ func BenchmarkFigure2MBR(b *testing.B) {
 func benchmarkFigure7(b *testing.B, m *machine.Machine) {
 	cfg := core.DefaultConfig()
 	for i := 0; i < b.N; i++ {
-		entries, err := experiments.Figure7(m, &cfg)
+		entries, err := experiments.Figure7(workloads.Figure7Set(), m, &cfg, experiments.Env{Cache: vcache.New()})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -214,7 +215,7 @@ func BenchmarkParallelSpeedup(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			pool := NewPool(workers)
 			for i := 0; i < b.N; i++ {
-				res, err := TuneBenchmarkOn(bm, m, nil, pool)
+				res, err := TuneBenchmark(bm, m, nil, Env{Pool: pool})
 				if err != nil {
 					b.Fatal(err)
 				}

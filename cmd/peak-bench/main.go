@@ -165,7 +165,7 @@ func main() {
 	obs := cli.NewObserver(*tracePath, *metrics, os.Stderr)
 	// Flush the phases recorded so far on SIGINT/SIGTERM instead of
 	// losing them (the bench sections can run for minutes).
-	obs.FlushOnInterrupt(os.Stderr, "peak-bench", nil)
+	obs.FlushOnInterrupt(os.Stderr, "peak-bench")
 	// phase records one timed section as a wall-clock bench_phase event
 	// (Count = elapsed nanoseconds, Invocations = operations) — outside
 	// the determinism contract by design.
@@ -264,7 +264,7 @@ func main() {
 	if *runTable1 {
 		cfg := core.DefaultConfig()
 		t0 := time.Now()
-		if _, err := experiments.Table1(m, experiments.PaperWindows, &cfg); err != nil {
+		if _, err := experiments.Table1(m, experiments.PaperWindows, &cfg, experiments.Env{}); err != nil {
 			fatalf("table1: %v", err)
 		}
 		r.Table1WallNs = time.Since(t0).Nanoseconds()

@@ -13,12 +13,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"peak"
 	"peak/internal/cli"
 	"peak/internal/experiments"
-	"peak/internal/sched"
 )
 
 func main() {
@@ -44,34 +42,29 @@ func main() {
 		}
 		cfg.Noise = &regime.Model
 	}
-	pool := peak.NewPool(*workers)
-	stopProgress := func() {}
-	if *progress {
-		stopProgress = sched.StartProgress(os.Stderr, pool, time.Second)
+	// Table 1 measures freshly compiled copies and never consults a
+	// compile cache, so the run shares none.
+	run, err := cli.Start(cli.Options{Name: "peak-consistency", Workers: *workers, Progress: *progress,
+		NoCache: true, TracePath: *tracePath, Metrics: *metrics}, os.Stderr)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "peak-consistency: %v\n", err)
+		os.Exit(1)
 	}
-	obs := cli.NewObserver(*tracePath, *metrics, os.Stderr)
-	// Flush the partial trace on SIGINT/SIGTERM instead of losing it.
-	obs.FlushOnInterrupt(os.Stderr, "peak-consistency", nil)
-	rows, err := peak.Table1Traced(m, &cfg, pool, obs.Buf, obs.Mx)
+	rows, err := peak.Table1(m, &cfg, run.Env)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "peak-consistency: %v\n", err)
 		if len(rows) > 0 {
 			fmt.Fprintf(os.Stderr, "peak-consistency: flushing %d partial row(s)\n", len(rows))
 			fmt.Print(experiments.FormatTable1(rows, experiments.PaperWindows))
 		}
-		obs.Flush()
+		run.Close(true)
 		os.Exit(1)
 	}
 	fmt.Printf("Table 1: consistency of rating approaches on %s\n", m.Name)
 	fmt.Println("(numbers are Mean(StdDev) of the rating error, multiplied by 100)")
 	fmt.Print(experiments.FormatTable1(rows, experiments.PaperWindows))
-	stopProgress()
-	if *progress {
-		fmt.Fprintln(os.Stderr, pool.Stats().Summary(pool.Workers()))
-	}
-	pool.Stats().FillMetrics(obs.Mx, pool.Workers())
-	if err := obs.Flush(); err != nil {
-		fmt.Fprintf(os.Stderr, "peak-consistency: trace: %v\n", err)
+	if err := run.Close(false); err != nil {
+		fmt.Fprintf(os.Stderr, "peak-consistency: %v\n", err)
 		os.Exit(1)
 	}
 }

@@ -14,6 +14,10 @@
 //
 // Long runs can checkpoint after every tuning round with -checkpoint; a
 // killed run is continued bit-for-bit with -resume (same flags otherwise).
+// With -cache-dir, rating jobs, performance measurements and noise-grid
+// cells are memoized in a persistent store, so a rerun answers them
+// without simulating (output is byte-identical either way).
+//
 // On SIGINT the journal is synced and the resume command printed before
 // exiting with status 130. On any error the results computed so far are
 // still flushed before the nonzero exit.
@@ -28,6 +32,7 @@
 //	peak-experiments -faults          # tuning under injected faults
 //	peak-experiments -checkpoint run.jsonl   # journal every round
 //	peak-experiments -resume run.jsonl       # continue a killed run
+//	peak-experiments -cache-dir warm/        # warm-start store across runs
 //	peak-experiments -trace fig7.jsonl       # record a trace (analyze: peak-trace)
 //	peak-experiments -metrics                # print the metrics table to stderr
 package main
@@ -36,13 +41,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"peak"
 	"peak/internal/cli"
 	"peak/internal/experiments"
-	"peak/internal/sched"
-	"peak/internal/store"
 )
 
 func main() {
@@ -60,7 +62,7 @@ func main() {
 	resume := flag.String("resume", "", "resume from an existing checkpoint journal (pass the same other flags)")
 	tracePath := flag.String("trace", "", "write a JSONL event trace to this file (analyze with peak-trace)")
 	metrics := flag.Bool("metrics", false, "print the metrics table to stderr after the run")
-	cacheDir := flag.String("cache-dir", "", "persistent warm-start store for -noise: grid cells memoize across runs (output identical either way)")
+	cacheDir := flag.String("cache-dir", "", "persistent warm-start store: rating jobs, measurements and noise-grid cells memoize across runs (faulted tunes never do; output identical either way)")
 	flag.Parse()
 
 	var machines []*peak.Machine
@@ -78,61 +80,25 @@ func main() {
 
 	// -resume requires an existing journal; -checkpoint reuses one if the
 	// file already holds state (so a killed -checkpoint run can simply be
-	// re-invoked) and creates it otherwise.
+	// re-invoked) and creates it otherwise. The noise grid touches no
+	// compile cache, so that mode shares none.
 	journalPath := *checkpoint
 	if *resume != "" {
 		journalPath = *resume
 	}
-	var journal *peak.Journal
-	if journalPath != "" {
-		var err error
-		if _, statErr := os.Stat(journalPath); statErr == nil {
-			journal, err = peak.OpenJournal(journalPath)
-		} else if *resume != "" {
-			err = fmt.Errorf("-resume %s: %w", journalPath, statErr)
-		} else {
-			journal, err = peak.NewJournal(journalPath)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "peak-experiments: %v\n", err)
-			os.Exit(1)
-		}
+	run, err := cli.Start(cli.Options{
+		Name: "peak-experiments", Workers: *workers, Progress: *progress,
+		NoCache: *noCache || *noiseRep, CacheDir: *cacheDir,
+		Journal: journalPath, Resume: *resume != "",
+		TracePath: *tracePath, Metrics: *metrics,
+	}, os.Stderr)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "peak-experiments: %v\n", err)
+		os.Exit(1)
 	}
-
-	pool := peak.NewPool(*workers)
-	stopProgress := func() {}
-	if *progress {
-		stopProgress = sched.StartProgress(os.Stderr, pool, time.Second)
-	}
-	obs := cli.NewObserver(*tracePath, *metrics, os.Stderr)
-	// A SIGINT mid-run flushes the partial trace and — when a journal is
-	// attached, the checkpoint layer's reason to exist — syncs it and
-	// tells the user how to continue.
-	obs.FlushOnInterrupt(os.Stderr, "peak-experiments", func() {
-		if journal == nil {
-			return
-		}
-		journal.Sync()
-		fmt.Fprintf(os.Stderr, "\npeak-experiments: interrupted; checkpoint journal %s synced\n", journalPath)
-		fmt.Fprintf(os.Stderr, "peak-experiments: continue with: peak-experiments -resume %s (plus the same flags)\n", journalPath)
-	})
 	finish := func(code int) {
-		stopProgress()
-		if *progress {
-			fmt.Fprintln(os.Stderr, pool.Stats().Summary(pool.Workers()))
-		}
-		pool.Stats().FillMetrics(obs.Mx, pool.Workers())
-		if journal != nil {
-			journal.FillMetrics(obs.Mx)
-			journal.Sync()
-			journal.Close()
-			if code != 0 {
-				fmt.Fprintf(os.Stderr, "peak-experiments: continue with: peak-experiments -resume %s (plus the same flags)\n", journalPath)
-			}
-		}
-		// A partial trace of a failed run is still a valid trace.
-		if err := obs.Flush(); err != nil {
-			fmt.Fprintf(os.Stderr, "peak-experiments: trace: %v\n", err)
+		if err := run.Close(code != 0); err != nil {
+			fmt.Fprintf(os.Stderr, "peak-experiments: %v\n", err)
 			if code == 0 {
 				code = 1
 			}
@@ -144,18 +110,8 @@ func main() {
 	cfg.NoCompileCache = *noCache
 
 	if *noiseRep {
-		// The warm-start store memoizes grid cells across runs; the report
-		// bytes are identical with the store absent, cold or warm.
-		var st *store.Store
-		if *cacheDir != "" {
-			var err error
-			if st, err = store.Open(*cacheDir); err != nil {
-				fmt.Fprintf(os.Stderr, "peak-experiments: %v\n", err)
-				finish(1)
-			}
-		}
 		for i, m := range machines {
-			report, err := experiments.NoiseReportStored(m, &cfg, pool, obs.Buf, obs.Mx, st)
+			report, err := experiments.NoiseReport(m, &cfg, run.Env)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "peak-experiments: %v\n", err)
 				finish(1)
@@ -165,22 +121,13 @@ func main() {
 			}
 			fmt.Print(report)
 		}
-		if st != nil {
-			if err := st.Flush(); err != nil {
-				fmt.Fprintf(os.Stderr, "peak-experiments: store flush: %v\n", err)
-				finish(1)
-			}
-			ss := st.Stats()
-			fmt.Fprintf(os.Stderr, "peak-experiments: store: %d cell memo hit(s), %d new record(s) flushed\n",
-				ss.MemoHits, ss.Pending)
-		}
 		finish(0)
 	}
 
 	if *faultsRep {
 		plan := peak.UniformFaults(*faultRate, *faultSeed)
 		for i, m := range machines {
-			bars, err := peak.FaultReportBarsTraced(peak.Figure7Benchmarks(), m, &cfg, plan, pool, journal, obs.Buf, obs.Mx)
+			bars, err := experiments.FaultReport(peak.Figure7Benchmarks(), m, &cfg, plan, run.Env)
 			if i > 0 {
 				fmt.Println()
 			}
@@ -197,16 +144,12 @@ func main() {
 		finish(0)
 	}
 
-	// One compile cache shared across machines: compilations are keyed by
+	// run.Env.Cache serves both machines: compilations are keyed by
 	// machine, so nothing collides, and the -cachestats summary covers the
 	// whole run. Output is byte-identical with or without it.
-	var cache *peak.VersionCache
-	if !*noCache {
-		cache = peak.NewVersionCache()
-	}
 	var all []peak.Fig7Entry
 	for _, m := range machines {
-		entries, err := experiments.Figure7Traced(peak.Figure7Benchmarks(), m, &cfg, pool, cache, journal, obs.Buf, obs.Mx)
+		entries, err := experiments.Figure7(peak.Figure7Benchmarks(), m, &cfg, run.Env)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "peak-experiments: %v\n", err)
 			if len(entries) > 0 {
@@ -219,11 +162,8 @@ func main() {
 		fmt.Println()
 		all = append(all, entries...)
 	}
-	if *cacheStats && cache != nil {
-		fmt.Fprintln(os.Stderr, cache.Stats().Summary())
-	}
-	if cache != nil {
-		cache.Stats().FillMetrics(obs.Mx)
+	if *cacheStats && run.Env.Cache != nil {
+		fmt.Fprintln(os.Stderr, run.Env.Cache.Stats().Summary())
 	}
 
 	if *headline {

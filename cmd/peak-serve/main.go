@@ -55,7 +55,7 @@ import (
 	"syscall"
 	"time"
 
-	"peak"
+	"peak/internal/cli"
 	"peak/internal/serve"
 	"peak/internal/store"
 )
@@ -96,34 +96,19 @@ func main() {
 		QuarantineStorm: *quarStrm,
 	}
 	if *journal != "" {
-		var j *peak.Journal
-		var err error
-		if _, statErr := os.Stat(*journal); statErr == nil {
-			j, err = peak.OpenJournal(*journal)
-		} else {
-			j, err = peak.NewJournal(*journal)
-		}
+		// After a SIGKILL the journal may have lost its torn tail record;
+		// OpenJournal says so, and says it was repaired.
+		j, err := cli.OpenJournal(*journal, false, os.Stderr, "peak-serve")
 		if err != nil {
 			fatalf("%v", err)
-		}
-		// Surface what recovery found: after a SIGKILL the journal may have
-		// lost its torn tail record — say so, and say it was repaired.
-		if rec := j.Recovery(); rec.Records > 0 || rec.DroppedBytes > 0 {
-			fmt.Fprintf(os.Stderr, "peak-serve: %s\n", rec.String())
 		}
 		opts.Journal = j
 		defer j.Close()
 	}
 	if *cacheDir != "" {
-		st, err := store.Open(*cacheDir)
+		st, err := cli.OpenStore(*cacheDir, os.Stderr, "peak-serve")
 		if err != nil {
 			fatalf("%v", err)
-		}
-		// Like the journal, say what recovery repaired (a SIGKILL mid-flush
-		// loses at most the torn tail; corrupt records are dropped).
-		if rec := st.Recovery(); rec.TornTail || rec.HeaderInvalid || rec.DroppedBodies > 0 || rec.DroppedAliases > 0 {
-			fmt.Fprintf(os.Stderr, "peak-serve: store recovery: %d records kept, %d bytes dropped (torn=%v header_invalid=%v bodies_dropped=%d aliases_dropped=%d)\n",
-				rec.Records, rec.DroppedBytes, rec.TornTail, rec.HeaderInvalid, rec.DroppedBodies, rec.DroppedAliases)
 		}
 		opts.Store = st
 	}

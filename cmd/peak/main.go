@@ -15,12 +15,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"peak"
 	"peak/internal/cli"
+	"peak/internal/core"
 	"peak/internal/opt"
-	"peak/internal/sched"
 )
 
 func main() {
@@ -28,7 +27,7 @@ func main() {
 		benchName = flag.String("bench", "ART", "benchmark name (see -list)")
 		machName  = flag.String("machine", "p4", `machine: "sparc2" or "p4"`)
 		method    = flag.String("method", "", "force rating method (CBR, MBR, RBR, AVG, WHL); empty = consultant choice")
-		dataset   = flag.String("dataset", "train", `tuning dataset: "train" or "ref"`)
+		dataset   = flag.String("dataset", "train", `tuning dataset: "train" or "ref" ("ref" needs -method)`)
 		noiseName = flag.String("noise", "", "noise regime (baseline, gauss4x, spikes, drift, bursts); empty = machine default")
 		workers   = flag.Int("workers", 1, "parallel rating workers (0 = GOMAXPROCS); any value gives identical results")
 		progress  = flag.Bool("progress", false, "print live scheduler status and a final utilization summary")
@@ -68,9 +67,17 @@ func main() {
 	if !ok {
 		fatalf("unknown machine %q", *machName)
 	}
-	ds := b.Train
-	if *dataset == "ref" {
-		ds = b.Ref
+	var force *peak.Method
+	if *method != "" {
+		mm, ok := peak.ParseMethodName(*method)
+		if !ok {
+			fatalf("unknown method %q", *method)
+		}
+		force = &mm
+	}
+	ds, err := core.TuningDataset(b, *dataset, force != nil)
+	if err != nil {
+		fatalf("%v", err)
 	}
 
 	cfg := peak.DefaultConfig()
@@ -107,37 +114,23 @@ func main() {
 		fmt.Println()
 	}
 
-	pool := peak.NewPool(*workers)
-	stopProgress := func() {}
-	if *progress {
-		stopProgress = sched.StartProgress(os.Stderr, pool, time.Second)
+	run, err := cli.Start(cli.Options{Name: "peak", Workers: *workers, Progress: *progress,
+		NoCache: *noCache, TracePath: *tracePath, Metrics: *metrics}, os.Stderr)
+	if err != nil {
+		fatalf("%v", err)
 	}
-	obs := cli.NewObserver(*tracePath, *metrics, os.Stderr)
-	// A SIGINT mid-tune flushes the events recorded so far instead of
-	// losing the whole buffer (Observer.Flush is idempotent, so the normal
-	// exit path below stays a no-op after an interrupt-time flush).
-	obs.FlushOnInterrupt(os.Stderr, "peak", nil)
-
 	var res *peak.TuneResult
-	if *method == "" {
-		res, err = peak.TuneBenchmarkTraced(b, m, &cfg, pool, nil, obs.Buf, obs.Mx)
+	if force == nil {
+		res, err = peak.TuneBenchmark(b, m, &cfg, run.Env)
 	} else {
-		mm, ok := peak.ParseMethodName(*method)
-		if !ok {
-			fatalf("unknown method %q", *method)
-		}
-		res, err = peak.TuneWithMethodTraced(b, m, mm, ds, &cfg, pool, obs.Buf, obs.Mx)
+		res, err = peak.TuneWithMethod(b, m, *force, ds, &cfg, run.Env)
 	}
 	if err != nil {
+		run.Close(true)
 		fatalf("tune: %v", err)
 	}
-	stopProgress()
-	if *progress {
-		fmt.Fprintln(os.Stderr, pool.Stats().Summary(pool.Workers()))
-	}
-	pool.Stats().FillMetrics(obs.Mx, pool.Workers())
-	if err := obs.Flush(); err != nil {
-		fatalf("trace: %v", err)
+	if err := run.Close(false); err != nil {
+		fatalf("%v", err)
 	}
 
 	base, _, err := peak.Measure(b, b.Ref, m, peak.O3())

@@ -400,3 +400,42 @@ func TestResilienceDocsCrossReferenced(t *testing.T) {
 		}
 	}
 }
+
+// TestNoEntryPointVariants guards against the wrapper chains that one Env
+// replaced: neither the facade nor internal/experiments may export a
+// function or method named like a variant of another entry point (…On,
+// …Cached, …Journaled, …Traced, …Stored, …For, …Bars). A new run-wide
+// capability belongs in experiments.Env as one more field.
+func TestNoEntryPointVariants(t *testing.T) {
+	suffixes := []string{"On", "Cached", "Journaled", "Traced", "Stored", "For", "Bars"}
+	checked := 0
+	for _, dir := range []string{".", filepath.Join("internal", "experiments")} {
+		fset := token.NewFileSet()
+		pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
+			return !strings.HasSuffix(fi.Name(), "_test.go")
+		}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pkg := range pkgs {
+			for _, f := range pkg.Files {
+				for _, decl := range f.Decls {
+					fd, ok := decl.(*ast.FuncDecl)
+					if !ok || !fd.Name.IsExported() {
+						continue
+					}
+					checked++
+					for _, suf := range suffixes {
+						if strings.HasSuffix(fd.Name.Name, suf) {
+							t.Errorf("%s: exported %s is an entry-point variant (suffix %q); take an Env instead",
+								fset.Position(fd.Pos()), fd.Name.Name, suf)
+						}
+					}
+				}
+			}
+		}
+	}
+	if checked < 40 {
+		t.Fatalf("only %d exported functions checked — parse is broken", checked)
+	}
+}

@@ -44,7 +44,7 @@ func main() {
 
 	// 3. Tune: Iterative Elimination over the 38 -O3 flags, rating each
 	// candidate version with the chosen method.
-	res, err := peak.TuneBenchmark(b, m, &cfg)
+	res, err := peak.TuneBenchmark(b, m, &cfg, peak.Env{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -120,7 +120,7 @@ func main() {
 			log.Fatal(err)
 		}
 		appl := peak.Consult(prof, &cfg)
-		res, err := peak.TuneBenchmark(b, m, &cfg)
+		res, err := peak.TuneBenchmark(b, m, &cfg, peak.Env{})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -98,29 +98,36 @@ func (o *Observer) flushLocked() error {
 	return nil
 }
 
-// FlushOnInterrupt installs a SIGINT/SIGTERM handler that runs extra (if
-// non-nil — journal syncing, resume hints), flushes the observer, and
-// exits with status 130. Without it a cmd interrupted mid-run loses the
-// entire buffered trace; with it the events recorded so far land on disk
-// as a valid partial trace. name prefixes the error line written to w
-// when the interrupt-time flush itself fails.
+// FlushOnInterrupt installs a SIGINT/SIGTERM handler that flushes the
+// observer and exits with status 130. Without it a cmd interrupted mid-run
+// loses the entire buffered trace; with it the events recorded so far land
+// on disk as a valid partial trace. name prefixes the line written to w.
 //
 // The handler races the normal exit path only through Flush, which is
 // idempotent, so installing it is safe even in cmds that always flush
-// before returning.
-func (o *Observer) FlushOnInterrupt(w io.Writer, name string, extra func()) {
+// before returning. Cmds built on Start get the handler from their Run.
+func (o *Observer) FlushOnInterrupt(w io.Writer, name string) {
+	onInterrupt(func() { o.interruptFlush(w, name) })
+}
+
+// onInterrupt runs fn on the first SIGINT or SIGTERM, then exits the
+// process with status 130.
+func onInterrupt(fn func()) {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	go func() {
 		<-sig
-		if extra != nil {
-			extra()
-		}
-		if err := o.Flush(); err != nil {
-			fmt.Fprintf(w, "%s: trace: %v\n", name, err)
-		} else if o.Buf != nil {
-			fmt.Fprintf(w, "%s: interrupted; partial trace flushed to %s\n", name, o.tracePath)
-		}
+		fn()
 		os.Exit(130)
 	}()
+}
+
+// interruptFlush flushes the observer from a signal handler and says on w
+// what happened to the trace.
+func (o *Observer) interruptFlush(w io.Writer, name string) {
+	if err := o.Flush(); err != nil {
+		fmt.Fprintf(w, "%s: trace: %v\n", name, err)
+	} else if o.Buf != nil {
+		fmt.Fprintf(w, "%s: interrupted; partial trace flushed to %s\n", name, o.tracePath)
+	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"peak/internal/analysis"
@@ -480,5 +481,37 @@ func TestImprovedRBRRemovesCacheBias(t *testing.T) {
 	}
 	if math.Abs(improvedMu) > 0.01 {
 		t.Errorf("improved RBR bias %.4f still large", improvedMu)
+	}
+}
+
+// TestTuningDataset pins the dataset rule cmd/peak and the serve layer
+// share: "" and "train" tune on train, "ref" only with a forced method
+// (the consultant path always tunes on train), anything else is unknown.
+func TestTuningDataset(t *testing.T) {
+	b := &bench.Benchmark{Train: &bench.Dataset{Name: "train"}, Ref: &bench.Dataset{Name: "ref"}}
+	for _, tc := range []struct {
+		name    string
+		forced  bool
+		want    *bench.Dataset
+		wantErr string
+	}{
+		{"", false, b.Train, ""},
+		{"train", false, b.Train, ""},
+		{"train", true, b.Train, ""},
+		{"ref", true, b.Ref, ""},
+		{"ref", false, nil, "requires a forced method"},
+		{"foo", true, nil, "unknown dataset"},
+		{"foo", false, nil, "unknown dataset"},
+	} {
+		got, err := TuningDataset(b, tc.name, tc.forced)
+		if tc.wantErr != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("TuningDataset(%q, forced=%v) error = %v, want %q", tc.name, tc.forced, err, tc.wantErr)
+			}
+			continue
+		}
+		if err != nil || got != tc.want {
+			t.Errorf("TuningDataset(%q, forced=%v) = %v, %v, want %s", tc.name, tc.forced, got, err, tc.want.Name)
+		}
 	}
 }

@@ -113,6 +113,27 @@ type Tuner struct {
 	Trace *trace.Buffer
 }
 
+// TuningDataset resolves a tuning-dataset name for b: "" and "train" name
+// the training dataset, "ref" the reference dataset. The consultant path
+// (forced false) always tunes on train, so "ref" without a forced rating
+// method is rejected rather than silently tuning on train. cmd/peak and
+// the serve layer's request parser both apply this rule.
+func TuningDataset(b *bench.Benchmark, name string, forced bool) (*bench.Dataset, error) {
+	var ds *bench.Dataset
+	switch name {
+	case "", "train":
+		ds = b.Train
+	case "ref":
+		ds = b.Ref
+	default:
+		return nil, fmt.Errorf("unknown dataset %q (want \"train\" or \"ref\")", name)
+	}
+	if !forced && ds != b.Train {
+		return nil, fmt.Errorf("dataset %q requires a forced method (the consultant path tunes on train)", name)
+	}
+	return ds, nil
+}
+
 // TuneResult reports a finished tuning process.
 type TuneResult struct {
 	Best opt.FlagSet

@@ -139,22 +139,27 @@ func restoreRateMemo(r *jobResult, b []byte) bool {
 	return true
 }
 
-// MeasurePerformanceStored is MeasurePerformanceCached backed by the
-// persistent store: the measured cycles are memoized under the resolved
-// code's 128-bit fingerprint plus the (benchmark, dataset, machine)
-// identity, so a warm process answers repeat measurements without running
-// the simulator at all. Measurement here is noise-free and deterministic,
-// so the memoized value is exactly what the simulation would produce; on
-// any key miss the real simulation runs and its result is recorded for the
-// next flush. A nil store behaves exactly like MeasurePerformanceCached.
+// MeasurePerformanceStored is MeasurePerformance resolving the compilation
+// through a compile cache and the measurement through the persistent
+// store. The measured cycles are identical for any cache and store:
+// compilation is deterministic and cached versions are frozen, so the
+// cache only removes repeat compile work when a driver measures the same
+// (benchmark, flags, machine) combination more than once (a nil cache
+// compiles directly). With a store the measured cycles are memoized under
+// the resolved code's 128-bit fingerprint plus the (benchmark, dataset,
+// machine) identity, so a warm process answers repeat measurements without
+// running the simulator at all. Measurement here is noise-free and
+// deterministic, so the memoized value is exactly what the simulation would
+// produce; on any key miss the real simulation runs and its result is
+// recorded for the next flush. A nil store always simulates.
 func MeasurePerformanceStored(b *bench.Benchmark, ds *bench.Dataset, m *machine.Machine,
 	flags opt.FlagSet, cache *vcache.Cache, st *store.Store) (tsCycles, programCycles int64, err error) {
-	if st == nil {
-		return MeasurePerformanceCached(b, ds, m, flags, cache)
-	}
 	v, fp, err := resolveMeasureVersion(b, m, flags, cache)
 	if err != nil {
 		return 0, 0, fmt.Errorf("measure %s: %w", b.Name, err)
+	}
+	if st == nil {
+		return runMeasurement(b, ds, m, flags, v)
 	}
 	key := fmt.Sprintf("%s/%s/%s/%s/%s/fp=%s", memoVersion, b.Name, m.Name, ds.Name, flags, fp)
 	if payload, ok := st.LookupMemo(MemoKindMeasure, key); ok && len(payload) == 16 {

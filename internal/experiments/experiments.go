@@ -12,13 +12,10 @@ import (
 
 	"peak/internal/bench"
 	"peak/internal/core"
-	"peak/internal/fault"
 	"peak/internal/machine"
 	"peak/internal/opt"
 	"peak/internal/profiling"
-	"peak/internal/sched"
 	"peak/internal/trace"
-	"peak/internal/vcache"
 	"peak/internal/workloads"
 )
 
@@ -27,86 +24,56 @@ var PaperWindows = []int{10, 20, 40, 80, 160}
 
 // Table1 reproduces the consistency experiment for every benchmark on the
 // given machine: the consultant-chosen rating method's error statistics per
-// window size (§5.1). It runs serially; Table1On shards it over a pool.
-func Table1(m *machine.Machine, windows []int, cfg *core.Config) ([]core.ConsistencyRow, error) {
-	return Table1On(m, windows, cfg, nil)
+// window size (§5.1). Each benchmark's profiling and consistency
+// measurement is one coarse job on env.Pool; its random streams are seeded
+// from the benchmark and the config, never shared, and the rows are
+// reduced in workloads.All() order, so the output is identical at any
+// worker count. env.Trace receives one "cell" event per (consistency row,
+// window size) and env.Metrics the grid totals. On error the rows of the
+// benchmarks before the failed one are still returned with the error.
+func Table1(m *machine.Machine, windows []int, cfg *core.Config, env Env) ([]core.ConsistencyRow, error) {
+	return table1(workloads.All(), m, windows, cfg, env)
 }
 
-// Table1On runs the Table-1 regenerator with each benchmark's profiling and
-// consistency measurement as one coarse job on the pool (nil means serial).
-// Each job is self-contained — its random streams are seeded from the
-// benchmark and the config, never shared — and the rows are reduced in
-// workloads.All() order, so the output is identical at any worker count.
-// On error the rows computed so far (in order, up to the first failed
-// benchmark) are still returned with the first error, so callers can flush
-// partial results; a panicking benchmark job is recovered into an error.
-func Table1On(m *machine.Machine, windows []int, cfg *core.Config, pool sched.Pool) ([]core.ConsistencyRow, error) {
-	return Table1Traced(m, windows, cfg, pool, nil, nil)
-}
-
-// Table1Traced is Table1On with observability: a non-nil trace buffer
-// receives one "cell" event per (consistency row, window size), flushed
-// in benchmark order after the parallel grid completes, and a non-nil
-// metrics registry accumulates the grid totals. Both follow the
-// determinism contract: each job emits into its own buffer and the
-// reduction folds them in input order, so the trace bytes are identical
-// at any worker count.
-func Table1Traced(m *machine.Machine, windows []int, cfg *core.Config, pool sched.Pool, tb *trace.Buffer, mx *trace.Metrics) ([]core.ConsistencyRow, error) {
-	if pool == nil {
-		pool = sched.NewSerial()
-	}
-	benches := workloads.All()
-	type result struct {
-		rows []core.ConsistencyRow
-		tb   *trace.Buffer
-		err  error
-	}
-	results := make([]result, len(benches))
-	pool.Map(len(benches), func(i int) {
+func table1(benches []*bench.Benchmark, m *machine.Machine, windows []int, cfg *core.Config, env Env) ([]core.ConsistencyRow, error) {
+	return fanOut(env, "table 1", benchNames(benches), func(i int, env Env) ([]core.ConsistencyRow, error) {
 		b := benches[i]
-		defer func() {
-			if r := recover(); r != nil {
-				results[i] = result{err: fmt.Errorf("table 1 %s: panic: %v", b.Name, r)}
-			}
-		}()
 		p, err := profiling.Run(b, b.Train, m)
 		if err != nil {
-			results[i] = result{err: err}
-			return
+			return nil, err
 		}
 		method := core.Consult(p, cfg).Chosen()
-		rs, err := core.Consistency(b, m, p, method, windows, cfg)
-		var jtb *trace.Buffer
-		if tb != nil && err == nil {
-			jtb = trace.NewBuffer()
-			for _, row := range rs {
+		rows, err := core.Consistency(b, m, p, method, windows, cfg)
+		if err != nil {
+			return nil, err
+		}
+		if env.Trace != nil {
+			for _, row := range rows {
 				section := row.Section
 				if row.Context != "" {
 					section += "(" + row.Context + ")"
 				}
 				for _, w := range windows {
 					ws := row.Windows[w]
-					jtb.Emit(trace.Event{Kind: trace.KindCell,
+					env.Trace.Emit(trace.Event{Kind: trace.KindCell,
 						Detail: fmt.Sprintf("table1/%s/%s/%s", b.Name, m.Name, section),
 						Method: row.Method.String(), Count: int64(w),
 						Mu: ws.Mu, Sigma: ws.Sigma})
 				}
 			}
 		}
-		results[i] = result{rows: rs, tb: jtb, err: err}
+		env.Metrics.Add("experiments.table1_rows", int64(len(rows)))
+		return rows, nil
 	})
-	var rows []core.ConsistencyRow
-	for _, r := range results {
-		if r.err != nil {
-			return rows, r.err
-		}
-		rows = append(rows, r.rows...)
-		tb.Append(r.tb)
-		if mx != nil {
-			mx.Add("experiments.table1_rows", int64(len(r.rows)))
-		}
+}
+
+// benchNames lists the benchmarks' names, in order, for fanOut's errors.
+func benchNames(benches []*bench.Benchmark) []string {
+	names := make([]string, len(benches))
+	for i, b := range benches {
+		names[i] = b.Name
 	}
-	return rows, nil
+	return names
 }
 
 // FormatTable1 renders rows in the paper's layout: mean (standard
@@ -163,172 +130,90 @@ type Fig7Entry struct {
 	Flags opt.FlagSet
 }
 
-// Figure7 reproduces the Figure-7 experiment on machine m for the paper's
-// four benchmarks (SWIM, MGRID, ART, EQUAKE): every forceable rating method
-// plus the WHL and AVG baselines, tuned on train and on ref, measured on
-// ref.
-func Figure7(m *machine.Machine, cfg *core.Config) ([]Fig7Entry, error) {
-	return Figure7On(workloads.Figure7Set(), m, cfg, nil)
-}
-
-// Figure7For runs the Figure-7 protocol serially for an arbitrary
-// benchmark list; Figure7On shards it over a pool.
-func Figure7For(benches []*bench.Benchmark, m *machine.Machine, cfg *core.Config) ([]Fig7Entry, error) {
-	return Figure7On(benches, m, cfg, nil)
-}
-
-// Figure7On runs the Figure-7 protocol with two grains of parallelism on
-// the pool (nil means serial): each benchmark is one coarse job, and each
+// Figure7 reproduces the Figure-7 experiment on machine m for the given
+// benchmarks (the paper's are workloads.Figure7Set: SWIM, MGRID, ART,
+// EQUAKE): every forceable rating method plus the WHL and AVG baselines,
+// tuned on train and on ref, measured on ref. It runs with two grains of
+// parallelism on env.Pool — each benchmark is one coarse job, and each
 // tuning process inside it shards its candidate ratings through the same
-// pool (sched.Pool.Map nests without deadlock). Entries are reduced in
-// input order and every tuning engine derives its random streams per job,
-// so the result is identical at any worker count.
-func Figure7On(benches []*bench.Benchmark, m *machine.Machine, cfg *core.Config, pool sched.Pool) ([]Fig7Entry, error) {
-	var cache *vcache.Cache
-	if !cfg.NoCompileCache {
-		cache = vcache.New()
-	}
-	return Figure7OnCached(benches, m, cfg, pool, cache)
-}
-
-// Figure7OnCached is Figure7On with a caller-supplied compile cache, shared
-// by every tuning process and performance measurement of the run (each
-// (benchmark, flags, machine, dataset-independent) compilation happens
-// once). Callers pass their own cache to aggregate stats across machines or
-// print them (-cachestats); nil disables caching. Entries are bit-identical
-// for any cache value — see the determinism notes on core.Tuner.Cache.
-func Figure7OnCached(benches []*bench.Benchmark, m *machine.Machine, cfg *core.Config, pool sched.Pool, cache *vcache.Cache) ([]Fig7Entry, error) {
-	return Figure7Journaled(benches, m, cfg, pool, cache, nil)
-}
-
-// Figure7Journaled is Figure7OnCached with checkpoint/resume: a non-nil
-// journal makes every tuning process append a checkpoint after each
-// Iterative Elimination round (keyed "bench/machine/method/dataset") and
-// resume from any state the journal already holds, reproducing the
-// uninterrupted entries byte-for-byte. On error the entries computed so far
-// are still returned (in input order up to the first failed benchmark)
-// together with the first error, so callers can flush partial results; a
-// panicking benchmark job is recovered into such an error rather than
-// taking down the whole run.
-func Figure7Journaled(benches []*bench.Benchmark, m *machine.Machine, cfg *core.Config, pool sched.Pool, cache *vcache.Cache, j *fault.Journal) ([]Fig7Entry, error) {
-	return Figure7Traced(benches, m, cfg, pool, cache, j, nil, nil)
-}
-
-// Figure7Traced is Figure7Journaled with observability: a non-nil trace
-// buffer receives every tuning process's event stream (internal/trace)
-// and a non-nil metrics registry accumulates the per-tune counters. Each
-// coarse benchmark job emits into its own buffer and registry; the
-// reduction folds them in input order after the parallel phase, so the
-// trace bytes — like the entries — are identical at any worker count and
-// with the cache on or off. On error, the buffers of the benchmarks
-// completed before the failure are still flushed (matching the partial
-// entries).
-func Figure7Traced(benches []*bench.Benchmark, m *machine.Machine, cfg *core.Config, pool sched.Pool, cache *vcache.Cache, j *fault.Journal, tb *trace.Buffer, mx *trace.Metrics) ([]Fig7Entry, error) {
-	if pool == nil {
-		pool = sched.NewSerial()
-	}
-	type result struct {
-		entries []Fig7Entry
-		tb      *trace.Buffer
-		mx      *trace.Metrics
-		err     error
-	}
-	results := make([]result, len(benches))
-	pool.Map(len(benches), func(i int) {
-		defer func() {
-			if r := recover(); r != nil {
-				results[i] = result{err: fmt.Errorf("figure 7 %s: panic: %v", benches[i].Name, r)}
-			}
-		}()
-		var jtb *trace.Buffer
-		if tb != nil {
-			jtb = trace.NewBuffer()
-		}
-		var jmx *trace.Metrics
-		if mx != nil {
-			jmx = trace.NewMetrics()
-		}
-		entries, err := figure7One(benches[i], m, cfg, pool, cache, j, jtb, jmx)
-		results[i] = result{entries, jtb, jmx, err}
+// pool — and reduces the entries in input order; every tuning engine
+// derives its random streams per job, so the result is identical at any
+// worker count. env.Cache, env.Store and env.Journal serve every tune and
+// measurement of the run (a journal checkpoint is keyed
+// "bench/machine/method/dataset"); env.Trace receives every tune's events
+// and env.Metrics their counters. On error the entries of the benchmarks
+// before the failed one are still returned with the error.
+func Figure7(benches []*bench.Benchmark, m *machine.Machine, cfg *core.Config, env Env) ([]Fig7Entry, error) {
+	return fanOut(env, "figure 7", benchNames(benches), func(i int, env Env) ([]Fig7Entry, error) {
+		return figure7One(benches[i], m, cfg, env)
 	})
-	var out []Fig7Entry
-	for _, r := range results {
-		if r.err != nil {
-			return out, r.err
-		}
-		out = append(out, r.entries...)
-		tb.Append(r.tb)
-		mx.Merge(r.mx)
-	}
-	return out, nil
 }
 
-func figure7One(b *bench.Benchmark, m *machine.Machine, cfg *core.Config, pool sched.Pool, cache *vcache.Cache, j *fault.Journal, tb *trace.Buffer, mx *trace.Metrics) ([]Fig7Entry, error) {
-	var out []Fig7Entry
-	{
-		pTrain, err := profiling.Run(b, b.Train, m)
-		if err != nil {
-			return nil, err
-		}
-		pRef, err := profiling.Run(b, b.Ref, m)
-		if err != nil {
-			return nil, err
-		}
-		chosen := core.Consult(pTrain, cfg).Chosen()
-
-		baseRef, _, err := core.MeasurePerformanceCached(b, b.Ref, m, opt.O3(), cache)
-		if err != nil {
-			return nil, err
-		}
-
-		methods := forceable(pTrain, cfg)
-		entries := make([]Fig7Entry, 0, len(methods))
-		for _, method := range methods {
-			method := method
-			e := Fig7Entry{Benchmark: b.Name, Method: method, Chosen: method == chosen}
-
-			trainRes, err := tuneTraced(b, b.Train, m, pTrain, method, cfg, pool, cache, j, tb, mx)
-			if err != nil {
-				return nil, fmt.Errorf("%s %s train: %w", b.Name, method, err)
-			}
-			refRes, err := tuneTraced(b, b.Ref, m, pRef, method, cfg, pool, cache, j, tb, mx)
-			if err != nil {
-				return nil, fmt.Errorf("%s %s ref: %w", b.Name, method, err)
-			}
-			tunedTrain, _, err := core.MeasurePerformanceCached(b, b.Ref, m, trainRes.Best, cache)
-			if err != nil {
-				return nil, err
-			}
-			tunedRef, _, err := core.MeasurePerformanceCached(b, b.Ref, m, refRes.Best, cache)
-			if err != nil {
-				return nil, err
-			}
-			e.TrainImprovement = core.Improvement(baseRef, tunedTrain)
-			e.RefImprovement = core.Improvement(baseRef, tunedRef)
-			e.TrainTuningCycles = trainRes.TuningCycles
-			e.RefTuningCycles = refRes.TuningCycles
-			e.Flags = trainRes.Best
-			entries = append(entries, e)
-		}
-
-		// Normalize tuning times to WHL.
-		var whl *Fig7Entry
-		for i := range entries {
-			if entries[i].Method == core.MethodWHL {
-				whl = &entries[i]
-			}
-		}
-		for i := range entries {
-			if whl != nil && whl.TrainTuningCycles > 0 {
-				entries[i].TrainNormTime = float64(entries[i].TrainTuningCycles) / float64(whl.TrainTuningCycles)
-			}
-			if whl != nil && whl.RefTuningCycles > 0 {
-				entries[i].RefNormTime = float64(entries[i].RefTuningCycles) / float64(whl.RefTuningCycles)
-			}
-		}
-		out = append(out, entries...)
+func figure7One(b *bench.Benchmark, m *machine.Machine, cfg *core.Config, env Env) ([]Fig7Entry, error) {
+	pTrain, err := profiling.Run(b, b.Train, m)
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	pRef, err := profiling.Run(b, b.Ref, m)
+	if err != nil {
+		return nil, err
+	}
+	chosen := core.Consult(pTrain, cfg).Chosen()
+	measure := func(flags opt.FlagSet) (int64, error) {
+		ts, _, err := core.MeasurePerformanceStored(b, b.Ref, m, flags, env.Cache, env.Store)
+		return ts, err
+	}
+
+	baseRef, err := measure(opt.O3())
+	if err != nil {
+		return nil, err
+	}
+
+	methods := forceable(pTrain, cfg)
+	entries := make([]Fig7Entry, 0, len(methods))
+	for _, method := range methods {
+		e := Fig7Entry{Benchmark: b.Name, Method: method, Chosen: method == chosen}
+
+		trainRes, err := tuneForced(b, b.Train, m, pTrain, method, cfg, env)
+		if err != nil {
+			return nil, fmt.Errorf("%s %s train: %w", b.Name, method, err)
+		}
+		refRes, err := tuneForced(b, b.Ref, m, pRef, method, cfg, env)
+		if err != nil {
+			return nil, fmt.Errorf("%s %s ref: %w", b.Name, method, err)
+		}
+		tunedTrain, err := measure(trainRes.Best)
+		if err != nil {
+			return nil, err
+		}
+		tunedRef, err := measure(refRes.Best)
+		if err != nil {
+			return nil, err
+		}
+		e.TrainImprovement = core.Improvement(baseRef, tunedTrain)
+		e.RefImprovement = core.Improvement(baseRef, tunedRef)
+		e.TrainTuningCycles = trainRes.TuningCycles
+		e.RefTuningCycles = refRes.TuningCycles
+		e.Flags = trainRes.Best
+		entries = append(entries, e)
+	}
+
+	// Normalize tuning times to WHL.
+	var whl *Fig7Entry
+	for i := range entries {
+		if entries[i].Method == core.MethodWHL {
+			whl = &entries[i]
+		}
+	}
+	for i := range entries {
+		if whl != nil && whl.TrainTuningCycles > 0 {
+			entries[i].TrainNormTime = float64(entries[i].TrainTuningCycles) / float64(whl.TrainTuningCycles)
+		}
+		if whl != nil && whl.RefTuningCycles > 0 {
+			entries[i].RefNormTime = float64(entries[i].RefTuningCycles) / float64(whl.RefTuningCycles)
+		}
+	}
+	return entries, nil
 }
 
 // forceable lists the method bars Figure 7 shows for a benchmark: every
@@ -349,31 +234,12 @@ func forceable(p *profiling.Profile, cfg *core.Config) []core.Method {
 	return out
 }
 
+// tuneForced runs one forced-method tune under env. The trace buffer in
+// env belongs to the calling coarse job, which is also the tune's
+// reduction goroutine, so emission stays single-threaded.
 func tuneForced(b *bench.Benchmark, ds *bench.Dataset, m *machine.Machine,
-	p *profiling.Profile, method core.Method, cfg *core.Config, pool sched.Pool,
-	cache *vcache.Cache) (*core.TuneResult, error) {
-	return tuneTraced(b, ds, m, p, method, cfg, pool, cache, nil, nil, nil)
-}
-
-// tuneTraced runs one forced-method tune with the full option set: an
-// optional checkpoint journal (the engine derives the checkpoint ID
-// "bench/machine/method/dataset", unique per tune of a Figure-7 run), an
-// optional trace buffer — owned by the calling coarse job, which is also
-// the tune's reduction goroutine, so emission stays single-threaded —
-// and an optional metrics registry receiving the tune's counters.
-func tuneTraced(b *bench.Benchmark, ds *bench.Dataset, m *machine.Machine,
-	p *profiling.Profile, method core.Method, cfg *core.Config, pool sched.Pool,
-	cache *vcache.Cache, j *fault.Journal, tb *trace.Buffer, mx *trace.Metrics) (*core.TuneResult, error) {
-	forced := method
-	tu := &core.Tuner{
-		Bench: b, Mach: m, Dataset: ds, Cfg: *cfg, Profile: p, Force: &forced,
-		Pool: pool, Cache: cache, Journal: j, Trace: tb,
-	}
-	res, err := tu.Tune()
-	if err == nil {
-		res.FillMetrics(mx)
-	}
-	return res, err
+	p *profiling.Profile, method core.Method, cfg *core.Config, env Env) (*core.TuneResult, error) {
+	return env.Tune(core.Tuner{Bench: b, Mach: m, Dataset: ds, Cfg: *cfg, Profile: p, Force: &method})
 }
 
 // FormatFigure7 renders the entries as the two panels of Figure 7 for one

@@ -58,7 +58,7 @@ func quickBenchmark() *bench.Benchmark {
 func TestFigure7Protocol(t *testing.T) {
 	cfg := core.DefaultConfig()
 	m := machine.SPARCII()
-	entries, err := Figure7For([]*bench.Benchmark{quickBenchmark()}, m, &cfg)
+	entries, err := Figure7([]*bench.Benchmark{quickBenchmark()}, m, &cfg, Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestForceableBars(t *testing.T) {
 
 func TestTable1Structure(t *testing.T) {
 	cfg := core.DefaultConfig()
-	rows, err := Table1(machine.SPARCII(), []int{10, 40}, &cfg)
+	rows, err := Table1(machine.SPARCII(), []int{10, 40}, &cfg, Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestVersionCacheDeterminism(t *testing.T) {
 		if !noCache {
 			cache = vcache.New()
 		}
-		entries, err := Figure7OnCached(benches, m, &cfg, pool, cache)
+		entries, err := Figure7(benches, m, &cfg, Env{Pool: pool, Cache: cache})
 		if err != nil {
 			t.Fatalf("figure7 (nocache=%v): %v", noCache, err)
 		}
@@ -232,7 +232,7 @@ func TestVersionCacheDeterminism(t *testing.T) {
 		}
 		tab := FormatTable1(rows, []int{10, 20})
 
-		noise, err := noiseReportFor(benches, m, &cfg, pool, nil, nil, nil)
+		noise, err := noiseReport(benches, m, &cfg, Env{Pool: pool})
 		if err != nil {
 			t.Fatalf("noise report (nocache=%v): %v", noCache, err)
 		}

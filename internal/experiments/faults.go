@@ -10,10 +10,6 @@ import (
 	"peak/internal/machine"
 	"peak/internal/opt"
 	"peak/internal/profiling"
-	"peak/internal/sched"
-	"peak/internal/trace"
-	"peak/internal/vcache"
-	"peak/internal/workloads"
 )
 
 // This file adds the robustness experiment: the Figure-7 tuning protocol is
@@ -46,96 +42,41 @@ type FaultBar struct {
 	Overhead float64
 }
 
-// FaultReport runs the robustness experiment on machine m over the paper's
-// Figure-7 benchmarks and renders it. A non-nil journal makes the faulted
-// tunes checkpoint after every round (and resume from any prior state it
-// already holds — see core.Tuner.Journal).
-func FaultReport(m *machine.Machine, cfg *core.Config, plan *fault.Plan, pool sched.Pool, j *fault.Journal) (string, error) {
-	bars, err := FaultReportFor(workloads.Figure7Set(), m, cfg, plan, pool, j)
-	if err != nil {
-		return "", err
-	}
-	return FormatFaultReport(bars, m.Name, plan), nil
-}
-
-// FaultReportFor computes the fault-report bars for an explicit benchmark
-// list: per benchmark and forceable rating method, one fault-free and one
-// faulted tune on the train dataset. Each benchmark is one coarse job on
-// the pool (nil means serial) and bars are reduced in input order, so the
-// report is byte-identical at any worker count. On error the bars computed
-// so far are still returned (partial results, in input order up to the
-// first failed benchmark) together with the first error.
-func FaultReportFor(benches []*bench.Benchmark, m *machine.Machine, cfg *core.Config, plan *fault.Plan, pool sched.Pool, j *fault.Journal) ([]FaultBar, error) {
-	return FaultReportTraced(benches, m, cfg, plan, pool, j, nil, nil)
-}
-
-// FaultReportTraced is FaultReportFor with observability: a non-nil
-// trace buffer receives the event streams of the *faulted* tunes (the
-// fault-free twins stay untraced — they would collide with the faulted
-// tunes' identities and tell a story the Figure-7 trace already tells);
-// a non-nil metrics registry accumulates both tunes' counters. Per-
-// benchmark buffers are folded in input order, so the trace bytes are
-// identical at any worker count.
-func FaultReportTraced(benches []*bench.Benchmark, m *machine.Machine, cfg *core.Config, plan *fault.Plan, pool sched.Pool, j *fault.Journal, tb *trace.Buffer, mx *trace.Metrics) ([]FaultBar, error) {
-	if pool == nil {
-		pool = sched.NewSerial()
-	}
-	var cache *vcache.Cache
-	if !cfg.NoCompileCache {
-		cache = vcache.New()
-	}
-	type result struct {
-		bars []FaultBar
-		tb   *trace.Buffer
-		mx   *trace.Metrics
-		err  error
-	}
-	results := make([]result, len(benches))
-	pool.Map(len(benches), func(i int) {
-		defer func() {
-			if r := recover(); r != nil {
-				results[i] = result{err: fmt.Errorf("fault report %s: panic: %v", benches[i].Name, r)}
-			}
-		}()
-		var jtb *trace.Buffer
-		if tb != nil {
-			jtb = trace.NewBuffer()
-		}
-		var jmx *trace.Metrics
-		if mx != nil {
-			jmx = trace.NewMetrics()
-		}
-		bars, err := faultReportOne(benches[i], m, cfg, plan, pool, cache, j, jtb, jmx)
-		results[i] = result{bars, jtb, jmx, err}
+// FaultReport runs the robustness experiment on machine m: per benchmark
+// and forceable rating method, one fault-free and one faulted tune on the
+// train dataset (render the bars with FormatFaultReport). Each benchmark
+// is one coarse job on env.Pool and bars are reduced in input order, so
+// the bars are identical at any worker count. env.Journal checkpoints
+// (and resumes) the faulted tunes; env.Trace receives the faulted tunes'
+// events — the fault-free twins stay untraced, since they would collide
+// with the faulted tunes' identities and tell a story the Figure-7 trace
+// already tells — and env.Metrics both tunes' counters. On error the bars
+// of the benchmarks before the failed one are still returned with the
+// error.
+func FaultReport(benches []*bench.Benchmark, m *machine.Machine, cfg *core.Config, plan *fault.Plan, env Env) ([]FaultBar, error) {
+	return fanOut(env, "fault report", benchNames(benches), func(i int, env Env) ([]FaultBar, error) {
+		return faultReportOne(benches[i], m, cfg, plan, env)
 	})
-	var out []FaultBar
-	for _, r := range results {
-		if r.err != nil {
-			return out, r.err
-		}
-		out = append(out, r.bars...)
-		tb.Append(r.tb)
-		mx.Merge(r.mx)
-	}
-	return out, nil
 }
 
-func faultReportOne(b *bench.Benchmark, m *machine.Machine, cfg *core.Config, plan *fault.Plan, pool sched.Pool, cache *vcache.Cache, j *fault.Journal, tb *trace.Buffer, mx *trace.Metrics) ([]FaultBar, error) {
+func faultReportOne(b *bench.Benchmark, m *machine.Machine, cfg *core.Config, plan *fault.Plan, env Env) ([]FaultBar, error) {
 	p, err := profiling.Run(b, b.Train, m)
 	if err != nil {
 		return nil, err
 	}
+	cleanEnv := env
+	cleanEnv.Journal, cleanEnv.Trace = nil, nil
 	var bars []FaultBar
 	for _, method := range forceable(p, cfg) {
 		cleanCfg := *cfg
 		cleanCfg.Faults = nil
-		clean, err := tuneTraced(b, b.Train, m, p, method, &cleanCfg, pool, cache, nil, nil, mx)
+		clean, err := tuneForced(b, b.Train, m, p, method, &cleanCfg, cleanEnv)
 		if err != nil {
 			return bars, fmt.Errorf("%s %s fault-free: %w", b.Name, method, err)
 		}
 		faultCfg := *cfg
 		faultCfg.Faults = plan
-		faulted, err := tuneTraced(b, b.Train, m, p, method, &faultCfg, pool, cache, j, tb, mx)
+		faulted, err := tuneForced(b, b.Train, m, p, method, &faultCfg, env)
 		if err != nil {
 			return bars, fmt.Errorf("%s %s faulted: %w", b.Name, method, err)
 		}

@@ -19,7 +19,7 @@ func TestFaultReportStructureAndDeterminism(t *testing.T) {
 	plan := fault.Uniform(0.05, 2004)
 	benches := []*bench.Benchmark{quickBenchmark()}
 
-	bars, err := FaultReportFor(benches, m, &cfg, plan, nil, nil)
+	bars, err := FaultReport(benches, m, &cfg, plan, Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestFaultReportStructureAndDeterminism(t *testing.T) {
 		t.Error("5% fault rate injected nothing across all bars")
 	}
 
-	again, err := FaultReportFor(benches, m, &cfg, plan, sched.New(4), nil)
+	again, err := FaultReport(benches, m, &cfg, plan, Env{Pool: sched.New(4)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,15 +56,15 @@ func TestFaultReportStructureAndDeterminism(t *testing.T) {
 	}
 }
 
-// TestFigure7JournaledResumes: a Figure-7 run with a journal must (a) leave
+// TestFigure7JournalResumes: a Figure-7 run with a journal must (a) leave
 // resumable state behind and (b) reproduce the journal-free entries exactly
 // when resumed from that state.
-func TestFigure7JournaledResumes(t *testing.T) {
+func TestFigure7JournalResumes(t *testing.T) {
 	m := machine.SPARCII()
 	cfg := core.DefaultConfig()
 	benches := []*bench.Benchmark{quickBenchmark()}
 
-	ref, err := Figure7For(benches, m, &cfg)
+	ref, err := Figure7(benches, m, &cfg, Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestFigure7JournaledResumes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Figure7Journaled(benches, m, &cfg, nil, nil, j)
+	got, err := Figure7(benches, m, &cfg, Env{Journal: j})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestFigure7JournaledResumes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	resumed, err := Figure7Journaled(benches, m, &cfg, nil, nil, j2)
+	resumed, err := Figure7(benches, m, &cfg, Env{Journal: j2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,6 @@ import (
 	"peak/internal/profiling"
 	"peak/internal/sched"
 	"peak/internal/sim"
-	"peak/internal/store"
 	"peak/internal/trace"
 	"peak/internal/workloads"
 )
@@ -44,9 +43,9 @@ const (
 	noiseTrialCycles = 1_000_000
 )
 
-// RegimesFor returns the noise regimes the report sweeps on machine m: the
+// Regimes returns the noise regimes the report sweeps on machine m: the
 // machine's calibrated default, then four stress regimes derived from it.
-func RegimesFor(m *machine.Machine) []NoiseRegime {
+func Regimes(m *machine.Machine) []NoiseRegime {
 	d := sim.DefaultNoise(m)
 	return []NoiseRegime{
 		{Name: "baseline", Model: d},
@@ -59,7 +58,7 @@ func RegimesFor(m *machine.Machine) []NoiseRegime {
 
 // RegimeByName resolves a regime label for machine m.
 func RegimeByName(m *machine.Machine, name string) (NoiseRegime, bool) {
-	for _, r := range RegimesFor(m) {
+	for _, r := range Regimes(m) {
 		if r.Name == name {
 			return r, true
 		}
@@ -69,7 +68,7 @@ func RegimeByName(m *machine.Machine, name string) (NoiseRegime, bool) {
 
 // RegimeNames lists the regime labels in report order.
 func RegimeNames(m *machine.Machine) []string {
-	regimes := RegimesFor(m)
+	regimes := Regimes(m)
 	names := make([]string, len(regimes))
 	for i, r := range regimes {
 		names[i] = r.Name
@@ -77,42 +76,21 @@ func RegimeNames(m *machine.Machine) []string {
 	return names
 }
 
-// NoiseReport runs the noise-sensitivity experiment serially on machine m.
-func NoiseReport(m *machine.Machine, cfg *core.Config) (string, error) {
-	return NoiseReportOn(m, cfg, nil)
-}
-
-// NoiseReportOn regenerates the noise-sensitivity report for machine m,
-// sharding the (benchmark × regime) consistency grid over pool (nil means
-// serial). Each cell is one self-contained job — its profile and
-// measurement streams are seeded from the benchmark and the config alone —
-// and cells are reduced in (benchmark, regime) order, so the report is
-// byte-identical at any worker count.
-func NoiseReportOn(m *machine.Machine, cfg *core.Config, pool sched.Pool) (string, error) {
-	return NoiseReportTraced(m, cfg, pool, nil, nil)
-}
-
-// NoiseReportTraced is NoiseReportOn with observability: a non-nil trace
-// buffer receives one "cell" event per (benchmark, regime) grid cell and
-// one "trials" event per (regime, decision rule) of the winner-picking
-// section; a non-nil metrics registry accumulates the grid totals. Cell
-// jobs emit into per-cell buffers flushed in grid order after the
-// parallel phase, so the trace bytes are byte-identical at any worker
-// count (the grid touches no compile cache, so -nocache trivially
-// matches too).
-func NoiseReportTraced(m *machine.Machine, cfg *core.Config, pool sched.Pool, tb *trace.Buffer, mx *trace.Metrics) (string, error) {
-	return noiseReportFor(workloads.All(), m, cfg, pool, tb, mx, nil)
-}
-
-// NoiseReportStored is NoiseReportTraced with a persistent warm-start
-// store: each (benchmark, regime) grid cell's result is memoized under a
-// key covering the benchmark, machine, regime noise model and full rating
+// NoiseReport regenerates the noise-sensitivity report for machine m. The
+// (benchmark × regime) consistency grid runs on env.Pool, one
+// self-contained job per cell — its profile and measurement streams are
+// seeded from the benchmark and the config alone — reduced in (benchmark,
+// regime) order, so the report is byte-identical at any worker count.
+// env.Trace receives one "cell" event per grid cell and one "trials" event
+// per (regime, decision rule) of the winner-picking section; env.Metrics
+// the grid totals. env.Store memoizes each cell's result under a key
+// covering the benchmark, machine, regime noise model and full rating
 // configuration, so a warm rerun answers the cells without profiling or
-// simulating. The report (and the trace) are byte-identical with the store
-// nil, cold or warm — a memo hit restores exactly the values a cold cell
-// computes. The winner-trial section is cheap and always runs live.
-func NoiseReportStored(m *machine.Machine, cfg *core.Config, pool sched.Pool, tb *trace.Buffer, mx *trace.Metrics, st *store.Store) (string, error) {
-	return noiseReportFor(workloads.All(), m, cfg, pool, tb, mx, st)
+// simulating; the report and trace are byte-identical with the store nil,
+// cold or warm. The winner-trial section is cheap and always runs live;
+// the grid touches no compile cache.
+func NoiseReport(m *machine.Machine, cfg *core.Config, env Env) (string, error) {
+	return noiseReport(workloads.All(), m, cfg, env)
 }
 
 // cellMemoKey names one noise-grid cell in the store's memo table. The
@@ -149,77 +127,63 @@ func decodeCellMemo(payload []byte) (core.Method, core.WindowStat, bool) {
 	return method, st, true
 }
 
-// noiseReportFor is NoiseReportStored over an explicit benchmark list.
-func noiseReportFor(benches []*bench.Benchmark, m *machine.Machine, cfg *core.Config, pool sched.Pool, tb *trace.Buffer, mx *trace.Metrics, ps *store.Store) (string, error) {
-	if pool == nil {
-		pool = sched.NewSerial()
-	}
-	regimes := RegimesFor(m)
+type noiseCell struct {
+	method core.Method
+	stat   core.WindowStat
+}
 
-	type cell struct {
-		method core.Method
-		stat   core.WindowStat
-		tb     *trace.Buffer
-		err    error
+func noiseReport(benches []*bench.Benchmark, m *machine.Machine, cfg *core.Config, env Env) (string, error) {
+	regimes := Regimes(m)
+	names := make([]string, 0, len(benches)*len(regimes))
+	for _, b := range benches {
+		for _, r := range regimes {
+			names = append(names, b.Name+"/"+r.Name)
+		}
 	}
-	cells := make([]cell, len(benches)*len(regimes))
-	pool.Map(len(cells), func(i int) {
+	cells, err := fanOut(env, "noise report", names, func(i int, env Env) ([]noiseCell, error) {
 		b := benches[i/len(regimes)]
 		regime := regimes[i%len(regimes)]
 		c := *cfg
 		c.Noise = &regime.Model
-		// emit builds the cell's trace event — identical whether the values
-		// were computed live or restored from the memo table, so the trace
-		// bytes never depend on the store's temperature.
-		emit := func(method core.Method, st core.WindowStat) *trace.Buffer {
-			if tb == nil {
-				return nil
-			}
-			ctb := trace.NewBuffer()
-			ctb.Emit(trace.Event{Kind: trace.KindCell,
+		// done records the cell's trace event — identical whether the
+		// values were computed live or restored from the memo table, so
+		// the trace bytes never depend on the store's temperature.
+		done := func(method core.Method, st core.WindowStat) ([]noiseCell, error) {
+			env.Trace.Emit(trace.Event{Kind: trace.KindCell,
 				Detail: fmt.Sprintf("noise/%s/%s/%s", b.Name, m.Name, regime.Name),
 				Method: method.String(), Count: NoiseWindow,
 				Mu: st.Mu, Sigma: st.Sigma})
-			return ctb
+			env.Metrics.Add("experiments.noise_cells", 1)
+			return []noiseCell{{method, st}}, nil
 		}
 		var memoK string
-		if ps != nil {
+		if env.Store != nil {
 			memoK = cellMemoKey(b, m, regime.Name, &c)
-			if payload, ok := ps.LookupMemo(core.MemoKindCell, memoK); ok {
+			if payload, ok := env.Store.LookupMemo(core.MemoKindCell, memoK); ok {
 				if method, st, valid := decodeCellMemo(payload); valid {
-					cells[i] = cell{method: method, stat: st, tb: emit(method, st)}
-					return
+					return done(method, st)
 				}
 			}
 		}
 		p, err := profiling.Run(b, b.Train, m)
 		if err != nil {
-			cells[i] = cell{err: err}
-			return
+			return nil, err
 		}
 		method := core.Consult(p, &c).Chosen()
 		rows, err := core.Consistency(b, m, p, method, []int{NoiseWindow}, &c)
 		if err != nil {
-			cells[i] = cell{err: err}
-			return
+			return nil, err
 		}
 		// The dominant-context row carries the headline statistic.
 		st := rows[0].Windows[NoiseWindow]
-		if ps != nil {
-			ps.RecordMemo(core.MemoKindCell, memoK, encodeCellMemo(method, st))
+		if env.Store != nil {
+			env.Store.RecordMemo(core.MemoKindCell, memoK, encodeCellMemo(method, st))
 		}
-		cells[i] = cell{method: method, stat: st, tb: emit(method, st)}
+		return done(method, st)
 	})
-	for i := range cells {
-		if cells[i].err != nil {
-			return "", cells[i].err
-		}
-		tb.Append(cells[i].tb)
-		if mx != nil {
-			mx.Add("experiments.noise_cells", 1)
-		}
+	if err != nil {
+		return "", err
 	}
-
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Rating consistency under noise on %s (w=%d, Mean(StdDev) of rating error x100,\nconsultant-chosen method, dominant context):\n",
 		m.Name, NoiseWindow)
@@ -255,24 +219,22 @@ func noiseReportFor(benches []*bench.Benchmark, m *machine.Machine, cfg *core.Co
 		seed := sched.DeriveSeed(cfg.Seed, "noise-trials/"+r.Name)
 		ci := core.RunWinnerTrials(&cfgCI, r.Model, seed, noiseTrialCount, noiseTrialCycles, noiseTrialMargin)
 		se := core.RunWinnerTrials(&cfgSE, r.Model, seed, noiseTrialCount, noiseTrialCycles, noiseTrialMargin)
-		if tb != nil {
+		if env.Trace != nil {
 			// The trial section runs serially on the reduction goroutine, so
 			// it emits straight into the report's buffer, stderr rule first
 			// (matching the printed column order).
-			tb.Emit(trace.Event{Kind: trace.KindTrials,
+			env.Trace.Emit(trace.Event{Kind: trace.KindTrials,
 				Detail: fmt.Sprintf("noise/%s/%s/stderr", m.Name, r.Name),
 				Counts: map[string]int64{"wrong_adopts": int64(se.WrongAdopts),
 					"misses": int64(se.Misses), "trials": int64(se.Trials),
 					"invocations": int64(se.Invocations)}})
-			tb.Emit(trace.Event{Kind: trace.KindTrials,
+			env.Trace.Emit(trace.Event{Kind: trace.KindTrials,
 				Detail: fmt.Sprintf("noise/%s/%s/CI", m.Name, r.Name),
 				Counts: map[string]int64{"wrong_adopts": int64(ci.WrongAdopts),
 					"misses": int64(ci.Misses), "trials": int64(ci.Trials),
 					"invocations": int64(ci.Invocations)}})
 		}
-		if mx != nil {
-			mx.Add("experiments.trial_invocations", int64(se.Invocations+ci.Invocations))
-		}
+		env.Metrics.Add("experiments.trial_invocations", int64(se.Invocations+ci.Invocations))
 		fmt.Fprintf(&sb, "%-10s %7d/%2d %7d/%2d %7d/%2d %7d/%2d %11.0f %11.0f\n",
 			r.Name,
 			se.WrongAdopts, se.Trials, ci.WrongAdopts, ci.Trials,

@@ -108,20 +108,11 @@ func parseSpec(req Request) (spec, error) {
 		methodName = mm.String()
 	}
 
-	switch req.Dataset {
-	case "", "train":
-		sp.dataset = b.Train
-	case "ref":
-		sp.dataset = b.Ref
-	default:
-		return sp, fmt.Errorf("unknown dataset %q (want \"train\" or \"ref\")", req.Dataset)
+	ds, err := core.TuningDataset(b, req.Dataset, sp.force != nil)
+	if err != nil {
+		return sp, err
 	}
-	// The consultant path tunes on train regardless (mirroring cmd/peak,
-	// which ignores -dataset without -method); reject the contradiction
-	// instead of silently producing a job whose name lies about its data.
-	if sp.force == nil && sp.dataset != b.Train {
-		return sp, fmt.Errorf("dataset %q requires a forced method (the consultant path tunes on train)", req.Dataset)
-	}
+	sp.dataset = ds
 
 	noiseName := "default"
 	if req.Noise != "" {

@@ -65,7 +65,7 @@ func TestFacadePipeline(t *testing.T) {
 	if app.Chosen() != CBR {
 		t.Errorf("EQUAKE consultant chose %s, want CBR", app.Chosen())
 	}
-	res, err := TuneWithMethod(b, m, CBR, b.Train, &cfg)
+	res, err := TuneWithMethod(b, m, CBR, b.Train, &cfg, Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,11 +104,11 @@ func TestPoolDeterminism(t *testing.T) {
 			t.Fatalf("benchmark %s missing", name)
 		}
 		m := PentiumIV()
-		serial, err := TuneBenchmarkOn(b, m, nil, NewPool(1))
+		serial, err := TuneBenchmark(b, m, nil, Env{Pool: NewPool(1)})
 		if err != nil {
 			t.Fatalf("%s workers=1: %v", name, err)
 		}
-		parallel, err := TuneBenchmarkOn(b, m, nil, NewPool(8))
+		parallel, err := TuneBenchmark(b, m, nil, Env{Pool: NewPool(8)})
 		if err != nil {
 			t.Fatalf("%s workers=8: %v", name, err)
 		}
