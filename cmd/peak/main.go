@@ -92,12 +92,13 @@ func main() {
 		}
 		cfg.Noise = &regime.Model
 	}
-	prof, err := peak.ProfileBenchmark(b, m)
-	if err != nil {
-		fatalf("profile: %v", err)
-	}
-	app := peak.Consult(prof, &cfg)
 	if *verbose {
+		// The tune profiles on its own; this profile is only printed.
+		prof, err := peak.ProfileBenchmark(b, m)
+		if err != nil {
+			fatalf("profile: %v", err)
+		}
+		app := peak.Consult(prof, &cfg)
 		fmt.Printf("profile: %d invocations, %d contexts (dominant share %.1f%%), mean %.0f cycles\n",
 			prof.Invocations, prof.NumContexts(), 100*prof.DominantShare(), prof.MeanCycles)
 		if prof.Model != nil {

@@ -439,3 +439,66 @@ func TestNoEntryPointVariants(t *testing.T) {
 		t.Fatalf("only %d exported functions checked — parse is broken", checked)
 	}
 }
+
+// TestOneVersionResolver keeps the compile-side fault handling in one
+// place: each of these calls must appear in exactly one function of
+// internal/core's non-test files (the version resolver), so the engine,
+// the adaptive tuner and the measurement path cannot grow their own copies
+// of the compile, miscompile and quarantine logic again. Calls inside a
+// closure count toward the enclosing function.
+func TestOneVersionResolver(t *testing.T) {
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, filepath.Join("internal", "core"), func(fi os.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	callers := map[string]map[string]bool{
+		"fault.Corrupt":         {},
+		"Plan.CompileFailures":  {},
+		"Plan.Miscompiles":      {},
+		"Cache.MarkQuarantined": {},
+	}
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || fd.Body == nil {
+					continue
+				}
+				ast.Inspect(fd.Body, func(n ast.Node) bool {
+					call, ok := n.(*ast.CallExpr)
+					if !ok {
+						return true
+					}
+					sel, ok := call.Fun.(*ast.SelectorExpr)
+					if !ok {
+						return true
+					}
+					name := sel.Sel.Name
+					switch name {
+					case "Corrupt":
+						if x, ok := sel.X.(*ast.Ident); !ok || x.Name != "fault" {
+							return true
+						}
+						name = "fault.Corrupt"
+					case "CompileFailures", "Miscompiles":
+						name = "Plan." + name
+					case "MarkQuarantined":
+						name = "Cache." + name
+					default:
+						return true
+					}
+					callers[name][fset.Position(fd.Pos()).Filename+":"+fd.Name.Name] = true
+					return true
+				})
+			}
+		}
+	}
+	for name, fns := range callers {
+		if len(fns) != 1 {
+			t.Errorf("%s is called from %d functions in internal/core, want exactly 1: %v", name, len(fns), fns)
+		}
+	}
+}

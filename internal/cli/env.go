@@ -150,11 +150,16 @@ func (r *Run) close(failed bool) error {
 		}
 	}
 	if env.Store != nil {
+		env.Store.Stats().FillMetrics(env.Metrics)
 		if err := env.Store.Flush(); err != nil {
 			errs = append(errs, fmt.Errorf("store flush: %w", err))
 		} else {
 			ss := env.Store.Stats()
-			fmt.Fprintf(r.w, "%s: store: %d memo hit(s), %d new record(s) flushed\n", r.opts.Name, ss.MemoHits, ss.Pending)
+			fmt.Fprintf(r.w, "%s: store: %d memo hit(s), %d new record(s) flushed", r.opts.Name, ss.MemoHits, ss.Pending)
+			if ss.MemoDecodeFailures > 0 {
+				fmt.Fprintf(r.w, ", %d undecodable record(s) recomputed", ss.MemoDecodeFailures)
+			}
+			fmt.Fprintln(r.w)
 		}
 	}
 	if err := r.obs.Flush(); err != nil {

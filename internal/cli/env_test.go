@@ -97,7 +97,7 @@ func TestRunTeardown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := st.LookupMemo("test", "k"); !ok {
+	if !st.LookupMemo("test", "k", func([]byte) bool { return true }) {
 		t.Error("store was not flushed")
 	}
 

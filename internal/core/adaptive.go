@@ -6,11 +6,9 @@ import (
 	"sort"
 
 	"peak/internal/bench"
-	"peak/internal/fault"
 	"peak/internal/machine"
 	"peak/internal/opt"
 	"peak/internal/profiling"
-	"peak/internal/sched"
 	"peak/internal/sim"
 	"peak/internal/stats"
 	"peak/internal/vcache"
@@ -88,103 +86,35 @@ func (a *AdaptiveTuner) Run(ds *bench.Dataset) (*AdaptiveResult, error) {
 		w = a.Cfg.Window
 	}
 	prog := a.Bench.Prog
-	versions := map[opt.FlagSet]*sim.Version{}
-	faults := a.Cfg.Faults
-	if faults.IsZero() {
-		faults = nil
-	}
-	var progKey uint64
-	if a.Cache != nil || faults != nil {
-		// Fault decisions are keyed by compile identity, and corrupted
-		// artifacts must never collide with clean ones in a shared cache,
-		// so the program key is salted with the plan fingerprint.
-		progKey = vcache.ProgramKey(prog)
-		if faults != nil {
-			progKey ^= faults.Fingerprint()
-		}
-	}
-	verifySeed := a.Cfg.Seed ^ a.Bench.Seed(73)
-	quarantined := map[opt.FlagSet]bool{}
-	var golden *goldenRef
 	res := &AdaptiveResult{Winners: map[string]opt.FlagSet{}}
 
-	// version resolves fs, applying the fault plan when one is active:
-	// transient compile failures are retried (backoff charged to the run),
-	// miscompiles are injected by identity, and every non-base version is
-	// checked against the base "-O3" outputs before any production
+	// version resolves fs once per run. Under fault injection the
+	// resolver retries transient compile failures (backoff charged to the
+	// run), injects miscompiles by identity and checks every non-base
+	// version against the base "-O3" outputs before any production
 	// invocation may run it — a failed check quarantines the flag set.
-	var version func(fs opt.FlagSet) (v *sim.Version, quar bool, err error)
-	version = func(fs opt.FlagSet) (*sim.Version, bool, error) {
-		if quarantined[fs] {
-			return nil, true, nil
-		}
-		if v, ok := versions[fs]; ok {
-			return v, false, nil
-		}
-		idKey := fmt.Sprintf("%d/%s/%s/%s", progKey, a.Bench.TS.Name, fs, a.Mach.Name)
-		if faults != nil {
-			n := faults.CompileFailures(idKey)
-			if n > faults.CompileRetries() {
-				return nil, false, fmt.Errorf("compile %s: injected compiler crash persisted: %w",
-					fs, fault.ErrRetriesExhausted)
+	rv := newResolver(prog, a.Bench.TS, a.Mach, a.Cfg.Faults, ds, a.Cfg.Seed^a.Bench.Seed(73))
+	rv.cache = a.Cache
+	versions := map[opt.FlagSet]versionInfo{}
+	version := func(fs opt.FlagSet) (v *sim.Version, quar bool, err error) {
+		vi, ok := versions[fs]
+		if !ok {
+			if vi, err = rv.resolve(fs); err != nil {
+				return nil, false, err
 			}
-			res.CompileRetries += n
-			for i := 0; i < n; i++ {
-				res.TotalCycles += faults.Backoff(i)
-			}
-		}
-		compile := func() (*sim.Version, error) {
-			v, err := opt.Compile(prog, a.Bench.TS, fs, a.Mach)
-			if err != nil {
-				return nil, err
-			}
-			if faults != nil && fs != opt.O3() && faults.Miscompiles(idKey) {
-				fault.Corrupt(v, sched.DeriveSeed(faults.Seed, "corrupt/"+idKey))
-			}
-			return v, nil
-		}
-		var v *sim.Version
-		var err error
-		if a.Cache != nil {
-			v, _, _, err = a.Cache.GetOrCompile(
-				vcache.Key{Prog: progKey, Fn: a.Bench.TS.Name, Flags: fs, Machine: a.Mach.Name},
-				compile)
-		} else {
-			v, err = compile()
-		}
-		if err != nil {
-			return nil, false, err
-		}
-		if faults != nil && fs != opt.O3() {
-			if golden == nil {
-				base, _, berr := version(opt.O3())
-				if berr != nil {
-					return nil, false, berr
-				}
-				rets, snap, cyc, maxInstrs, gerr := runVerifyWorkload(a.Mach, prog, ds, verifySeed, base, 0)
-				if gerr != nil {
-					return nil, false, fmt.Errorf("golden reference run failed: %w", gerr)
-				}
-				res.TotalCycles += cyc
-				golden = &goldenRef{rets: rets, mem: snap, maxInstrs: maxInstrs}
-			}
-			maxSteps := golden.maxInstrs * verifyStepFactor
-			if maxSteps < 1_000_000 {
-				maxSteps = 1_000_000
-			}
-			rets, snap, cyc, _, rerr := runVerifyWorkload(a.Mach, prog, ds, verifySeed, v, maxSteps)
-			res.TotalCycles += cyc
-			if rerr != nil || !floatsClose(rets, golden.rets) || !memClose(snap, golden.mem) {
-				quarantined[fs] = true
+			vi.v = codeCopy(vi.v)
+			versions[fs] = vi
+			res.CompileRetries += vi.retries
+			res.TotalCycles += vi.retryCycles + vi.verifyCycles
+			if vi.quarantined {
 				res.Quarantined = append(res.Quarantined, fs)
-				if a.Cache != nil {
-					a.Cache.MarkQuarantined(vcache.Key{Prog: progKey, Fn: a.Bench.TS.Name, Flags: fs, Machine: a.Mach.Name})
-				}
-				return nil, true, nil
 			}
 		}
-		versions[fs] = v
-		return v, false, nil
+		return vi.v, vi.quarantined, nil
+	}
+	rv.base = func() (*sim.Version, error) {
+		v, _, err := version(opt.O3())
+		return v, err
 	}
 
 	rng := rand.New(rand.NewSource(a.Cfg.Seed ^ a.Bench.Seed(61)))
@@ -288,6 +218,22 @@ func (a *AdaptiveTuner) Run(ds *bench.Dataset) (*AdaptiveResult, error) {
 		res.Winners[k] = states[k].best
 	}
 	return res, nil
+}
+
+// codeCopy returns a distinct copy of v and its callees that shares their
+// frozen, immutable code. A Runner keeps branch-predictor state per
+// *sim.Version, and each flag set the adaptive run dispatches is its own
+// code copy, as its fresh compile is — even when the compile cache aliases
+// its code to another flag set's identical version.
+func codeCopy(v *sim.Version) *sim.Version {
+	cp := *v
+	if v.Callees != nil {
+		cp.Callees = make(map[string]*sim.Version, len(v.Callees))
+		for name, c := range v.Callees {
+			cp.Callees[name] = codeCopy(c)
+		}
+	}
+	return &cp
 }
 
 func robustMean(xs []float64, k float64) float64 {

@@ -136,7 +136,7 @@ func (e *engine) restore(state json.RawMessage) (*engineState, error) {
 	}
 	e.restoring = true
 	for _, fs := range st.Resolved {
-		if _, err := e.version(opt.FlagSet(fs)); err != nil {
+		if _, _, err := e.version(opt.FlagSet(fs)); err != nil {
 			e.restoring = false
 			return nil, fmt.Errorf("tune %s: resume recompile: %w", e.t.Bench.Name, err)
 		}

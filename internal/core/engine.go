@@ -8,7 +8,6 @@ import (
 	"sort"
 	"sync"
 
-	"peak/internal/analysis"
 	"peak/internal/bench"
 	"peak/internal/fault"
 	"peak/internal/ir"
@@ -217,19 +216,12 @@ type engine struct {
 	// rootSeed is the root of every per-job seed derivation.
 	rootSeed int64
 
-	// cache is the compile cache (Tuner.Cache, or a private one); nil when
-	// Cfg.NoCompileCache is set. local memoizes this tune's own
-	// (flag set -> version, fingerprint) resolutions: it keeps repeat
-	// lookups off the shared cache's lock and is what the deterministic
-	// TuneResult cache counters are derived from. progKey is the HIR hash
-	// of the instrumented program, the cache key's program-identity part.
-	cache   *vcache.Cache
-	progKey uint64
+	// rv resolves flag sets to versions (guarded by mu). local memoizes
+	// this tune's own resolutions: it keeps repeat lookups off the shared
+	// cache's lock and is what the deterministic TuneResult cache counters
+	// are derived from; lookups counts the requests.
+	rv      *resolver
 	lookups int64
-	// stages memoizes this tune's HIR-stage compilations (guarded by mu
-	// like the cache misses that use it). It exists exactly when cache
-	// does, so -nocache also checks that the memo is transparent.
-	stages *opt.Stages
 
 	// store is the persistent memo store (Tuner.Store), nil when absent —
 	// and always nil when fault injection is on (see the Tuner.Store doc).
@@ -238,12 +230,11 @@ type engine struct {
 	mu    sync.Mutex
 	local map[opt.FlagSet]versionInfo
 
-	// faults is the injection plan (nil when off). golden is the lazily
-	// built verification reference; journal/ckptID enable checkpointing;
-	// restoring suppresses counter accrual while a resume re-resolves the
-	// flag sets a previous process had already compiled and accounted.
+	// faults is the injection plan (nil when off); journal/ckptID enable
+	// checkpointing; restoring suppresses counter accrual while a resume
+	// re-resolves the flag sets a previous process had already compiled
+	// and accounted.
 	faults    *fault.Plan
-	golden    *goldenRef
 	journal   *fault.Journal
 	ckptID    string
 	restoring bool
@@ -312,10 +303,10 @@ func (e *engine) tune() (*TuneResult, error) {
 	e.res.CacheHits = e.lookups - e.res.CacheMisses
 	fps := make(map[uint64]bool, len(e.local))
 	for _, vi := range e.local {
-		if fps[vi.fp] {
+		if fps[vi.fp128.Lo] {
 			e.res.SharedCode++
 		} else {
-			fps[vi.fp] = true
+			fps[vi.fp128.Lo] = true
 		}
 	}
 	if e.faults != nil {
@@ -346,13 +337,6 @@ func (t *Tuner) newEngine() (*engine, error) {
 		local:    map[opt.FlagSet]versionInfo{},
 		res:      &TuneResult{},
 	}
-	if !cfg.NoCompileCache {
-		e.cache = t.Cache
-		if e.cache == nil {
-			e.cache = vcache.New()
-		}
-		e.stages = opt.NewStages()
-	}
 
 	e.app = Consult(t.Profile, &cfg)
 	if t.Force != nil {
@@ -361,29 +345,25 @@ func (t *Tuner) newEngine() (*engine, error) {
 		e.methods = append([]Method(nil), e.app.Methods...)
 	}
 
-	// The tuning build keeps only the counters the component model needs
-	// ("the unnecessary instrumentation code for the merged blocks is
-	// removed", §2.3); other methods strip all counters.
-	instr := analysis.Instrument(t.Bench.TS)
-	keep := map[int]bool{}
-	if t.Profile.Model != nil {
-		keep = t.Profile.Model.KeepCounters
-	}
-	e.ts = analysis.StripCounters(instr, keep)
-	e.prog = t.Bench.Prog.Clone()
-	e.prog.AddFunc(e.ts)
 	// The cache key hashes the instrumented program: tunes with identical
 	// benchmarks and kept-counter sets share compilations, tunes whose
 	// instrumentation differs cannot collide.
-	e.progKey = vcache.ProgramKey(e.prog)
-	if f := cfg.Faults; !f.IsZero() {
-		e.faults = f
-		// Salt the program identity with the fault plan's fingerprint: a
-		// flag set miscompiled under this plan must never collide in a
-		// shared cache with the same flag set compiled cleanly (a fault-free
-		// tune, a different plan, or the final deployment compile).
-		e.progKey ^= f.Fingerprint()
+	e.prog, e.ts = tuningProgram(t.Bench, t.Profile)
+	e.rv = newResolver(e.prog, e.ts, t.Mach, cfg.Faults, t.Dataset, e.rootSeed)
+	e.rv.base = func() (*sim.Version, error) {
+		vi, _, err := e.resolveLocked(opt.O3())
+		return vi.v, err
 	}
+	if !cfg.NoCompileCache {
+		// The stage memo exists exactly when the cache does, so -nocache
+		// also checks that the memo is transparent.
+		e.rv.cache = t.Cache
+		if e.rv.cache == nil {
+			e.rv.cache = vcache.New()
+		}
+		e.rv.stages = opt.NewStages()
+	}
+	e.faults = e.rv.faults
 	if t.Store != nil && e.faults == nil {
 		e.store = t.Store
 	}
@@ -410,135 +390,44 @@ func (t *Tuner) newEngine() (*engine, error) {
 	return e, nil
 }
 
-// versionInfo is a resolved compilation: the frozen version, its code
-// fingerprint (vcache.Fingerprint), and — with fault injection on —
-// whether golden-output verification flagged it as miscompiled. The
-// trailing fields record the resolution's one-time costs (injected
-// compile retries, their backoff, verification time) for cache trace
-// events; they are pure functions of the compile identity, so they are
-// the same whichever call resolved the flag set first.
-type versionInfo struct {
-	v *sim.Version
-	// fp is the 64-bit in-process fingerprint (dedup grouping, trace
-	// leader maps); fp128 the full content fingerprint memo keys embed,
-	// of which fp is the low half. fromDisk marks resolutions answered by
-	// a persistent-store preload rather than a compilation this process.
-	fp          uint64
-	fp128       vcache.FP128
-	fromDisk    bool
-	quarantined bool
-
-	retries      int
-	retryCycles  int64
-	verifyCycles int64
-}
-
-// version returns the resolved compilation of the TS under fs, compiling,
-// freezing and (with faults on) verifying it on first use. The lock
-// serializes compilation, so exactly one Version exists per flag set no
-// matter how many jobs request it; with a shared cache, whichever tune
-// compiles the key first publishes the (deterministic) result for all.
-func (e *engine) version(fs opt.FlagSet) (versionInfo, error) {
+// version returns the resolved compilation of the TS under fs and whether
+// this call resolved it for the first time (the hit/miss bit of the
+// trace's cache events). The lock serializes compilation, so exactly one
+// Version exists per flag set no matter how many jobs request it; with a
+// shared cache, whichever tune compiles the key first publishes the
+// (deterministic) result for all.
+func (e *engine) version(fs opt.FlagSet) (versionInfo, bool, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.resolveLocked(fs)
+	vi, fresh, err := e.resolveLocked(fs)
+	if err != nil {
+		return versionInfo{}, false, fmt.Errorf("tune %s: %w", e.t.Bench.Name, err)
+	}
+	return vi, fresh, nil
 }
 
-// resolveLocked is version() under an already-held e.mu. With fault
-// injection enabled it additionally:
-//
-//   - draws the flag set's injected transient compile failures — a pure
-//     function of the compile identity, so retry counts are independent of
-//     scheduling and caching — and absorbs them up to the retry bound,
-//     charging deterministic backoff time;
-//   - lets the plan miscompile the compilation (fault.Corrupt inside the
-//     compile closure, so a corrupted artifact is what lands in the cache
-//     under the plan-salted program key). The tuning base "-O3" is exempt:
-//     it is the trusted production baseline golden outputs come from;
-//   - verifies every non-base compilation against the golden reference and
-//     marks failures quarantined.
-func (e *engine) resolveLocked(fs opt.FlagSet) (versionInfo, error) {
+// resolveLocked is version() under an already-held e.mu, without the tune
+// prefix on errors. It is also the resolver's base supplier, so the golden
+// reference's "-O3" counts as one more lookup of this tune.
+func (e *engine) resolveLocked(fs opt.FlagSet) (versionInfo, bool, error) {
 	if !e.restoring {
 		e.lookups++
 	}
 	if vi, ok := e.local[fs]; ok {
-		return vi, nil
+		return vi, false, nil
 	}
-	var idKey string
-	var retries int
-	var retryCycles int64
-	if e.faults != nil {
-		idKey = fmt.Sprintf("%d/%s/%s/%s", e.progKey, e.ts.Name, fs, e.t.Mach.Name)
-		n := e.faults.CompileFailures(idKey)
-		if n > e.faults.CompileRetries() {
-			return versionInfo{}, fmt.Errorf("tune %s: compile %s: injected compiler crash persisted: %w",
-				e.t.Bench.Name, fs, fault.ErrRetriesExhausted)
-		}
-		retries = n
-		for i := 0; i < n; i++ {
-			retryCycles += e.faults.Backoff(i)
-		}
-		if !e.restoring {
-			e.compileRetries += n
-			e.faultCycles += retryCycles
-		}
+	vi, err := e.rv.resolve(fs)
+	if err != nil {
+		return versionInfo{}, false, err
 	}
-	compile := func() (*sim.Version, error) {
-		v, err := e.stages.Compile(e.prog, e.ts, fs, e.t.Mach)
-		if err == nil && e.faults != nil && fs != opt.O3() && e.faults.Miscompiles(idKey) {
-			fault.Corrupt(v, sched.DeriveSeed(e.faults.Seed, "corrupt/"+idKey))
-		}
-		return v, err
-	}
-	var vi versionInfo
-	var key vcache.Key
-	if e.cache != nil {
-		key = vcache.Key{Prog: e.progKey, Fn: e.ts.Name, Flags: fs, Machine: e.t.Mach.Name}
-		r, err := e.cache.Resolve(key, compile)
-		if err != nil {
-			return versionInfo{}, fmt.Errorf("tune %s: compile %s: %w", e.t.Bench.Name, fs, err)
-		}
-		vi = versionInfo{v: r.V, fp: r.FP.Lo, fp128: r.FP, fromDisk: r.FromDisk}
-	} else {
-		v, err := compile()
-		if err != nil {
-			return versionInfo{}, fmt.Errorf("tune %s: compile %s: %w", e.t.Bench.Name, fs, err)
-		}
-		v.Freeze()
-		fp := vcache.Fingerprint128(v)
-		vi = versionInfo{v: v, fp: fp.Lo, fp128: fp}
-	}
-	vi.retries = retries
-	vi.retryCycles = retryCycles
-	if e.faults != nil && fs != opt.O3() {
-		quarantined, cycles, inv, err := e.verifyLocked(vi.v)
-		if err != nil {
-			return versionInfo{}, err
-		}
-		vi.quarantined = quarantined
-		vi.verifyCycles = cycles
-		if !e.restoring {
-			e.verifyCycles += cycles
-			e.verifyInv += inv
-		}
-		if quarantined && e.cache != nil {
-			e.cache.MarkQuarantined(key)
-		}
+	if !e.restoring {
+		e.compileRetries += vi.retries
+		e.faultCycles += vi.retryCycles
+		e.verifyCycles += vi.verifyCycles
+		e.verifyInv += vi.verifyInv
 	}
 	e.local[fs] = vi
-	return vi, nil
-}
-
-// versionFresh is version() plus a report of whether the call resolved
-// the flag set for the first time — the hit/miss bit of the trace's
-// cache events. Used only by the round reduction's precompile walk, so
-// the extra map probe never touches the rating hot path.
-func (e *engine) versionFresh(fs opt.FlagSet) (versionInfo, bool, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	_, seen := e.local[fs]
-	vi, err := e.resolveLocked(fs)
-	return vi, !seen, err
+	return vi, true, nil
 }
 
 // ratingCtx is one rating job's private execution context: simulated
@@ -699,7 +588,7 @@ func (e *engine) rateJob(jobKey string, m Method, exp, base opt.FlagSet, escalat
 	res := jobResult{ctx: c}
 	defer func() { e.pool.Stats().AddCycles(c.cycles) }()
 
-	expVI, err := e.version(exp)
+	expVI, _, err := e.version(exp)
 	if err != nil {
 		res.err = err
 		return res
@@ -707,7 +596,7 @@ func (e *engine) rateJob(jobKey string, m Method, exp, base opt.FlagSet, escalat
 	expV := expVI.v
 	var baseVI versionInfo
 	if m != MethodWHL {
-		baseVI, err = e.version(base)
+		baseVI, _, err = e.version(base)
 		if err != nil {
 			res.err = err
 			return res
@@ -725,7 +614,7 @@ func (e *engine) rateJob(jobKey string, m Method, exp, base opt.FlagSet, escalat
 	var memoK string
 	if e.store != nil {
 		memoK = e.rateMemoKey(jobKey, m, expVI.fp128, baseVI.fp128, escalatable)
-		if payload, ok := e.store.LookupMemo(MemoKindRate, memoK); ok && restoreRateMemo(&res, payload) {
+		if e.store.LookupMemo(MemoKindRate, memoK, func(p []byte) bool { return restoreRateMemo(&res, p) }) {
 			res.memoized = true
 			return res
 		}
@@ -900,19 +789,19 @@ func (e *engine) rateRound(round int, current opt.FlagSet, candidates []opt.Flag
 	// scheduling or the rating method, so the grouping — and therefore every
 	// skip — is identical at any worker count and with the cache on or off.
 	traced := e.tb != nil
-	baseVI, baseFresh, err := e.versionFresh(current)
+	baseVI, baseFresh, err := e.version(current)
 	if err != nil {
 		return nil, nil, err
 	}
 	if traced {
 		e.emitCache(round, 0, baseLabel, baseVI, baseFresh)
 	}
-	baseFP := baseVI.fp
+	baseFP := baseVI.fp128.Lo
 	leaderOf := make([]int, len(candidates)) // -1: identical to base; -2: quarantined
 	firstByFP := make(map[uint64]int, len(candidates))
 	var leaders []int
 	for i, f := range candidates {
-		vi, fresh, err := e.versionFresh(current.Without(f))
+		vi, fresh, err := e.version(current.Without(f))
 		if err != nil {
 			return nil, nil, err
 		}
@@ -928,8 +817,9 @@ func (e *engine) rateRound(round int, current opt.FlagSet, candidates []opt.Flag
 			}
 			continue
 		}
-		switch first, ok := firstByFP[vi.fp]; {
-		case vi.fp == baseFP:
+		fp := vi.fp128.Lo
+		switch first, ok := firstByFP[fp]; {
+		case fp == baseFP:
 			leaderOf[i] = -1
 			if traced {
 				e.emit(trace.Event{Kind: trace.KindDedup, Round: round + 1,
@@ -942,7 +832,7 @@ func (e *engine) rateRound(round int, current opt.FlagSet, candidates []opt.Flag
 					Ordinal: i + 1, Flag: f.String(), Leader: candidates[first].String()})
 			}
 		default:
-			firstByFP[vi.fp] = i
+			firstByFP[fp] = i
 			leaderOf[i] = i
 			leaders = append(leaders, i)
 		}

@@ -13,6 +13,7 @@ import (
 	"peak/internal/opt"
 	"peak/internal/profiling"
 	"peak/internal/sched"
+	"peak/internal/vcache"
 )
 
 // faultTune runs one tune of the tiny benchmark under plan, with the given
@@ -240,5 +241,51 @@ func TestAdaptiveQuarantine(t *testing.T) {
 	}
 	if !reflect.DeepEqual(again, res) {
 		t.Errorf("adaptive faulted run not deterministic:\n got %+v\nwant %+v", again, res)
+	}
+}
+
+// TestAdaptiveCacheTransparent pins the AdaptiveTuner.Cache contract:
+// results are bit-identical with no cache and with a shared one — cold,
+// and warm from an earlier run — with and without fault injection. A
+// faulted run quarantines, and the shared cache marks exactly the
+// quarantined flag sets.
+func TestAdaptiveCacheTransparent(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		plan *fault.Plan
+	}{
+		{"fault-free", nil},
+		{"miscompiles", &fault.Plan{Seed: 11, MiscompileRate: 0.5}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := tinyBenchmark()
+			cfg := DefaultConfig()
+			cfg.Window = 10
+			cfg.Faults = tc.plan
+			at, err := NewAdaptiveTuner(b, machine.SPARCII(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := at.Run(b.Ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			at.Cache = vcache.New()
+			for _, run := range []string{"cold", "warm"} {
+				got, err := at.Run(b.Ref)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s shared cache changed the run:\n got %+v\nwant %+v", run, got, want)
+				}
+			}
+			if q := len(want.Quarantined); (q > 0) != (tc.plan != nil) {
+				t.Errorf("%d quarantined flag sets under plan %+v", q, tc.plan)
+			}
+			if got := at.Cache.Stats().Quarantined; got != int64(len(want.Quarantined)) {
+				t.Errorf("cache marks %d quarantined keys, run quarantined %d", got, len(want.Quarantined))
+			}
+		})
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"peak/internal/bench"
 	"peak/internal/machine"
 	"peak/internal/opt"
+	"peak/internal/sim"
 	"peak/internal/store"
 	"peak/internal/vcache"
 )
@@ -154,20 +155,27 @@ func restoreRateMemo(r *jobResult, b []byte) bool {
 // recorded for the next flush. A nil store always simulates.
 func MeasurePerformanceStored(b *bench.Benchmark, ds *bench.Dataset, m *machine.Machine,
 	flags opt.FlagSet, cache *vcache.Cache, st *store.Store) (tsCycles, programCycles int64, err error) {
-	v, fp, err := resolveMeasureVersion(b, m, flags, cache)
+	r, err := cache.Resolve(
+		vcache.Key{Prog: vcache.ProgramKey(b.Prog), Fn: b.TS.Name, Flags: flags, Machine: m.Name},
+		func() (*sim.Version, error) { return opt.Compile(b.Prog, b.TS, flags, m) })
 	if err != nil {
 		return 0, 0, fmt.Errorf("measure %s: %w", b.Name, err)
 	}
 	if st == nil {
-		return runMeasurement(b, ds, m, flags, v)
+		return runMeasurement(b, ds, m, flags, r.V)
 	}
-	key := fmt.Sprintf("%s/%s/%s/%s/%s/fp=%s", memoVersion, b.Name, m.Name, ds.Name, flags, fp)
-	if payload, ok := st.LookupMemo(MemoKindMeasure, key); ok && len(payload) == 16 {
-		ts := int64(binary.LittleEndian.Uint64(payload))
-		prog := int64(binary.LittleEndian.Uint64(payload[8:]))
-		return ts, prog, nil
+	key := fmt.Sprintf("%s/%s/%s/%s/%s/fp=%s", memoVersion, b.Name, m.Name, ds.Name, flags, r.FP)
+	if st.LookupMemo(MemoKindMeasure, key, func(p []byte) bool {
+		if len(p) != 16 {
+			return false
+		}
+		tsCycles = int64(binary.LittleEndian.Uint64(p))
+		programCycles = int64(binary.LittleEndian.Uint64(p[8:]))
+		return true
+	}) {
+		return tsCycles, programCycles, nil
 	}
-	tsCycles, programCycles, err = runMeasurement(b, ds, m, flags, v)
+	tsCycles, programCycles, err = runMeasurement(b, ds, m, flags, r.V)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -88,6 +88,65 @@ func TestRatingMemoWarmMatchesCold(t *testing.T) {
 	}
 }
 
+// TestRateMemoDecodeFailureHeals runs a warm tune against a store whose
+// rate records are all truncated by one byte. Every such record must count
+// as a decode failure rather than a hit, the tune must simulate its way to
+// the cold result, and the fresh records must replace the truncated ones
+// at flush, so a third run is answered from the memo table alone.
+func TestRateMemoDecodeFailureHeals(t *testing.T) {
+	coldDir := t.TempDir()
+	cold, err := store.Open(coldDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := storedTune(t, cold, vcache.New(), 2, nil)
+	if err := cold.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := store.Open(coldDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	truncated, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reopened.MemoEach(MemoKindRate, func(key string, payload []byte) bool {
+		truncated.RecordMemo(MemoKindRate, key, payload[:len(payload)-1])
+		return true
+	})
+	if err := truncated.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	warm, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := storedTune(t, warm, vcache.New(), 2, nil); !reflect.DeepEqual(got, want) {
+		t.Fatalf("tune over truncated records diverged:\ncold %+v\nwarm %+v", want, got)
+	}
+	st := warm.Stats()
+	if st.MemoDecodeFailures == 0 || st.MemoHits != 0 || st.Pending != st.MemoDecodeFailures {
+		t.Fatalf("warm stats = %+v, want only decode failures, each re-recorded", st)
+	}
+	if err := warm.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	healed, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := storedTune(t, healed, vcache.New(), 2, nil); !reflect.DeepEqual(got, want) {
+		t.Fatalf("tune over healed records diverged:\ncold %+v\nhealed %+v", want, got)
+	}
+	if st := healed.Stats(); st.MemoDecodeFailures != 0 || st.MemoMisses != 0 || st.MemoHits == 0 {
+		t.Fatalf("healed stats = %+v, want memo hits only", st)
+	}
+}
+
 // TestRateMemoRoundTrip pins the rate-memo wire codec: every field of a
 // job result must survive encode → restore, and the payload must be
 // exactly rateMemoLen bytes. A length drift between the encoder and the

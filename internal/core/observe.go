@@ -57,12 +57,12 @@ func (e *engine) emitCache(round, ordinal int, label string, vi versionInfo, fre
 		ev.Retries = vi.retries
 		ev.RetryCycles = vi.retryCycles
 		ev.VerifyCycles = vi.verifyCycles
-		if first, ok := e.fpFirst[vi.fp]; ok {
+		if first, ok := e.fpFirst[vi.fp128.Lo]; ok {
 			ev.Outcome = "shared"
 			ev.Leader = first
 		} else {
 			ev.Outcome = "miss"
-			e.fpFirst[vi.fp] = label
+			e.fpFirst[vi.fp128.Lo] = label
 		}
 	}
 	e.emit(ev)

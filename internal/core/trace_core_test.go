@@ -223,13 +223,13 @@ func TestStageMemoPerTune(t *testing.T) {
 		return e, res
 	}
 	e, res := tune(false)
-	hits, misses := e.stages.Stats()
+	hits, misses := e.rv.stages.Stats()
 	t.Logf("SWIM/sparc2: %d compiles, %d HIR-stage runs, %d memo hits", hits+misses, misses, hits)
 	if hits == 0 || int64(hits+misses) < res.CacheMisses {
 		t.Errorf("memo hits %d, misses %d for %d compiled flag sets", hits, misses, res.CacheMisses)
 	}
 	ne, nres := tune(true)
-	if ne.stages != nil {
+	if ne.rv.stages != nil {
 		t.Error("-nocache tune has a stage memo")
 	}
 	if !reflect.DeepEqual(res, nres) {

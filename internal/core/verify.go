@@ -6,10 +6,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"peak/internal/bench"
-	"peak/internal/ir"
-	"peak/internal/machine"
-	"peak/internal/opt"
 	"peak/internal/sched"
 	"peak/internal/sim"
 )
@@ -45,22 +41,16 @@ type goldenRef struct {
 	maxInstrs int64                // largest per-invocation instruction count
 }
 
-// verifyRun executes v over the verification workload: fresh memory and
-// dataset streams seeded from the root seed only — shared by the golden
-// run and every candidate run, so all of them see identical inputs.
-func (e *engine) verifyRun(v *sim.Version, maxSteps int64) ([]float64, map[string][]float64, int64, int64, error) {
-	return runVerifyWorkload(e.t.Mach, e.prog, e.t.Dataset, e.rootSeed, v, maxSteps)
-}
-
-// runVerifyWorkload runs the shared verification workload for one version:
-// fresh memory, data and runner streams derived from rootSeed only — so the
-// golden run and every candidate run see identical inputs regardless of
-// when (or in which process) they execute.
-func runVerifyWorkload(mach *machine.Machine, prog *ir.Program, ds *bench.Dataset, rootSeed int64, v *sim.Version, maxSteps int64) (rets []float64, snap map[string][]float64, cycles, maxInstrs int64, err error) {
-	mem := sim.NewMemory(prog)
-	rng := rand.New(rand.NewSource(sched.DeriveSeed(rootSeed, "verify/data")))
-	runner := sim.NewRunner(mach, mem, sched.DeriveSeed(rootSeed, "verify/runner"))
+// runWorkload executes v over the verification workload: fresh memory,
+// data and runner streams derived from r.seed only — so the golden run and
+// every candidate run see identical inputs regardless of when (or in which
+// process) they execute.
+func (r *resolver) runWorkload(v *sim.Version, maxSteps int64) (rets []float64, snap map[string][]float64, cycles, maxInstrs int64, err error) {
+	mem := sim.NewMemory(r.prog)
+	rng := rand.New(rand.NewSource(sched.DeriveSeed(r.seed, "verify/data")))
+	runner := sim.NewRunner(r.mach, mem, sched.DeriveSeed(r.seed, "verify/runner"))
 	runner.MaxSteps = maxSteps
+	ds := r.ds
 	if ds.Setup != nil {
 		ds.Setup(mem, rng)
 	}
@@ -86,52 +76,38 @@ func runVerifyWorkload(mach *machine.Machine, prog *ir.Program, ds *bench.Datase
 	return rets, mem.Snapshot(names), cycles, maxInstrs, nil
 }
 
-// goldenLocked returns the verification reference, building it from the
-// base "-O3" version on first use (under e.mu). The build's simulated time
-// and invocations are returned exactly once, with the first build.
-func (e *engine) goldenLocked() (g *goldenRef, cycles, inv int64, err error) {
-	if e.golden != nil {
-		return e.golden, 0, 0, nil
+// verify checks v's outputs against the golden reference and reports
+// whether it must be quarantined. The reference is built from r.base on
+// first use; its simulated time and invocations are returned exactly
+// once, with that first verification. The verdict is a pure function of
+// the compiled code and the seed — independent of scheduling, caching and
+// resume — and candidate run errors (runtime faults, runaway step limits)
+// count as failed verification, not as errors.
+func (r *resolver) verify(v *sim.Version) (quarantined bool, cycles, inv int64, err error) {
+	if r.golden == nil {
+		base, err := r.base()
+		if err != nil {
+			return false, 0, 0, err
+		}
+		rets, snap, gc, maxInstrs, err := r.runWorkload(base, 0)
+		if err != nil {
+			// The exempt base version must run cleanly; failure here is a
+			// genuine engine bug, not a quarantinable fault.
+			return false, 0, 0, fmt.Errorf("golden reference run failed: %w", err)
+		}
+		r.golden = &goldenRef{rets: rets, mem: snap, maxInstrs: maxInstrs}
+		cycles, inv = gc, int64(len(rets))
 	}
-	vi, err := e.resolveLocked(opt.O3())
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	rets, snap, cycles, maxInstrs, err := e.verifyRun(vi.v, 0)
-	if err != nil {
-		// The exempt base version must run cleanly; failure here is a
-		// genuine engine bug, not a quarantinable fault.
-		return nil, 0, 0, fmt.Errorf("tune %s: golden reference run failed: %w", e.t.Bench.Name, err)
-	}
-	e.golden = &goldenRef{rets: rets, mem: snap, maxInstrs: maxInstrs}
-	return e.golden, cycles, int64(len(rets)), nil
-}
-
-// verifyLocked checks v's outputs against the golden reference and reports
-// whether it must be quarantined. The verdict is a pure function of the
-// compiled code and the root seed — independent of scheduling, caching,
-// and resume — and errors (runtime faults, runaway step limits) count as
-// failed verification, not as tune errors.
-func (e *engine) verifyLocked(v *sim.Version) (quarantined bool, cycles, inv int64, err error) {
-	g, gc, gi, err := e.goldenLocked()
-	if err != nil {
-		return false, 0, 0, err
-	}
-	cycles, inv = gc, gi
+	g := r.golden
 	maxSteps := g.maxInstrs * verifyStepFactor
 	if maxSteps < 1_000_000 {
 		maxSteps = 1_000_000
 	}
-	rets, snap, vc, _, runErr := e.verifyRun(v, maxSteps)
+	rets, snap, vc, _, runErr := r.runWorkload(v, maxSteps)
 	cycles += vc
 	inv += int64(len(g.rets))
-	if runErr != nil {
-		return true, cycles, inv, nil
-	}
-	if !floatsClose(rets, g.rets) || !memClose(snap, g.mem) {
-		return true, cycles, inv, nil
-	}
-	return false, cycles, inv, nil
+	quarantined = runErr != nil || !floatsClose(rets, g.rets) || !memClose(snap, g.mem)
+	return quarantined, cycles, inv, nil
 }
 
 // closeEnough reports a ≈ b within verifyRelTol (relative to the larger

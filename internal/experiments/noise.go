@@ -159,10 +159,13 @@ func noiseReport(benches []*bench.Benchmark, m *machine.Machine, cfg *core.Confi
 		var memoK string
 		if env.Store != nil {
 			memoK = cellMemoKey(b, m, regime.Name, &c)
-			if payload, ok := env.Store.LookupMemo(core.MemoKindCell, memoK); ok {
-				if method, st, valid := decodeCellMemo(payload); valid {
-					return done(method, st)
-				}
+			var method core.Method
+			var st core.WindowStat
+			if env.Store.LookupMemo(core.MemoKindCell, memoK, func(p []byte) (ok bool) {
+				method, st, ok = decodeCellMemo(p)
+				return ok
+			}) {
+				return done(method, st)
 			}
 		}
 		p, err := profiling.Run(b, b.Train, m)

@@ -109,9 +109,11 @@ type MemoStats struct {
 	Records int64 `json:"records"`
 	Pending int64 `json:"pending"`
 	// Hits and Misses count lookups against the frozen read set — a hit is
-	// a simulation that never ran.
-	Hits   int64 `json:"hits"`
-	Misses int64 `json:"misses"`
+	// a simulation that never ran. DecodeFailures counts loaded records
+	// their reader rejected: each one was recomputed, not answered.
+	Hits           int64 `json:"hits"`
+	Misses         int64 `json:"misses"`
+	DecodeFailures int64 `json:"decode_failures"`
 }
 
 // Stats assembles the current server statistics.
@@ -164,10 +166,11 @@ func (s *Server) Stats() Stats {
 			Recovery:     s.store.Recovery(),
 		}
 		st.Memo = &MemoStats{
-			Records: ss.Memos,
-			Pending: ss.Pending,
-			Hits:    ss.MemoHits,
-			Misses:  ss.MemoMisses,
+			Records:        ss.Memos,
+			Pending:        ss.Pending,
+			Hits:           ss.MemoHits,
+			Misses:         ss.MemoMisses,
+			DecodeFailures: ss.MemoDecodeFailures,
 		}
 	}
 	if s.journal != nil {

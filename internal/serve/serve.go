@@ -187,21 +187,23 @@ func New(opts Options) *Server {
 // in state "done" with its original result, report, metrics and trace, so
 // a duplicate submission is answered from memory with zero simulator
 // invocations. Artifacts that fail to decode, or whose canonical spec no
-// longer matches their key (schema drift across versions), are skipped —
-// the job simply runs fresh when resubmitted.
+// longer matches their key (schema drift across versions), are skipped
+// and counted as memo decode failures — the job simply runs fresh when
+// resubmitted, and its new artifact replaces the unusable one at the next
+// flush.
 func (s *Server) restoreJobs() {
-	s.store.MemoEach(core.MemoKindJob, func(key string, payload []byte) {
+	s.store.MemoEach(core.MemoKindJob, func(key string, payload []byte) bool {
 		var art jobArtifact
 		if err := json.Unmarshal(payload, &art); err != nil {
-			return
+			return false
 		}
 		var req Request
 		if err := json.Unmarshal(art.Request, &req); err != nil {
-			return
+			return false
 		}
 		sp, err := parseSpec(req)
 		if err != nil || sp.canonical != key {
-			return
+			return false
 		}
 		j := newJob(sp)
 		j.state = StateDone
@@ -213,6 +215,7 @@ func (s *Server) restoreJobs() {
 		s.jobs[j.id] = j
 		s.mu.Unlock()
 		s.restoredJobs.Add(1)
+		return true
 	})
 }
 

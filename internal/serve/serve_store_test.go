@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"peak/internal/core"
 	"peak/internal/opt"
 	"peak/internal/store"
 )
@@ -160,6 +161,8 @@ func TestServeWarmTuneUsesMemo(t *testing.T) {
 // store: without a store the "store" and "memo" blocks (and the cache's
 // disk-tier figures) are absent, keeping the payload byte-compatible with
 // pre-store servers; with a store both blocks appear with their counters.
+// A job artifact that no longer decodes is not restored and shows up as a
+// memo decode failure.
 func TestStatsStoreMemoBlocks(t *testing.T) {
 	plain := New(Options{Workers: 1})
 	data, err := json.MarshalIndent(plain.Stats(), "", "  ")
@@ -172,22 +175,35 @@ func TestStatsStoreMemoBlocks(t *testing.T) {
 		}
 	}
 
-	st, err := store.Open(t.TempDir())
+	dir := t.TempDir()
+	torn, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	torn.RecordMemo(core.MemoKindJob, `{"bench":"SWIM"}`, []byte("{"))
+	if err := torn.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := New(storeOpts(st))
-	data, err = json.MarshalIndent(s.Stats(), "", "  ")
+	stats := s.Stats()
+	data, err = json.MarshalIndent(stats, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
 		`"store"`, `"memo"`, `"versions"`, `"entries"`, `"restored_jobs"`,
 		`"flushes"`, `"flushed_bytes"`, `"recovery"`, `"records"`,
-		`"pending"`, `"hits"`, `"misses"`,
+		`"pending"`, `"hits"`, `"misses"`, `"decode_failures": 1`,
 	} {
 		if !strings.Contains(string(data), want) {
 			t.Errorf("store-attached /stats is missing %s:\n%s", want, data)
 		}
+	}
+	if stats.Store.RestoredJobs != 0 || stats.Memo.Hits != 0 {
+		t.Errorf("undecodable artifact restored: %+v %+v", stats.Store, stats.Memo)
 	}
 }

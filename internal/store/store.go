@@ -12,9 +12,12 @@
 // Determinism contract: the memo read set is frozen at Open. LookupMemo
 // answers only from records loaded off disk at open time; RecordMemo
 // writes to a pending overlay that becomes visible only after Flush and a
-// reopen. A run therefore sees the same memo answers at every worker
-// count and in every scheduling order, which is what keeps warm outputs
-// byte-identical to cold ones. Payloads must themselves be deterministic
+// reopen. A loaded record its reader cannot decode is marked stale, never
+// deleted, so every later lookup of it fails the same way whatever the
+// order; the fresh record written in its place replaces it at Flush. A
+// run therefore sees the same memo answers at every worker count and in
+// every scheduling order, which is what keeps warm outputs byte-identical
+// to cold ones. Payloads must themselves be deterministic
 // (same key ⇒ same bytes) — rating results under the engine's fixed seed
 // derivation are, which is also why results that depend on injected
 // faults must never be memoized: fault draws consume per-process stream
@@ -31,6 +34,7 @@ import (
 
 	"peak/internal/opt"
 	"peak/internal/sim"
+	"peak/internal/trace"
 	"peak/internal/vcache"
 )
 
@@ -58,11 +62,13 @@ type Stats struct {
 	// the attached compile cache.
 	Preloaded int64 `json:"preloaded"`
 	// MemoHits and MemoMisses count LookupMemo outcomes against the
-	// frozen read set; Pending the records queued by RecordMemo for the
-	// next Flush.
-	MemoHits   int64 `json:"memo_hits"`
-	MemoMisses int64 `json:"memo_misses"`
-	Pending    int64 `json:"pending"`
+	// frozen read set; MemoDecodeFailures the loaded records a reader
+	// rejected (LookupMemo or MemoEach), which fall back to recomputing;
+	// Pending the records queued by RecordMemo for the next Flush.
+	MemoHits           int64 `json:"memo_hits"`
+	MemoMisses         int64 `json:"memo_misses"`
+	MemoDecodeFailures int64 `json:"memo_decode_failures"`
+	Pending            int64 `json:"pending"`
 	// Flushes counts completed Flush rewrites; FlushedBytes the size of
 	// the last file written.
 	Flushes      int64 `json:"flushes"`
@@ -101,6 +107,7 @@ type Store struct {
 	versions map[vcache.FP128]*sim.Version // loaded, verified, frozen bodies
 	entries  []vcache.SnapshotEntry        // loaded alias keys
 	memo     map[memoKey][]byte            // frozen read set (loaded at Open)
+	stale    map[memoKey]bool              // read-set records a reader rejected
 	pending  map[memoKey][]byte            // overlay visible after Flush+reopen
 
 	stats    Stats
@@ -119,6 +126,7 @@ func Open(dir string) (*Store, error) {
 		dir:      dir,
 		versions: make(map[vcache.FP128]*sim.Version),
 		memo:     make(map[memoKey][]byte),
+		stale:    make(map[memoKey]bool),
 		pending:  make(map[memoKey][]byte),
 	}
 	data, err := os.ReadFile(filepath.Join(dir, storeFile))
@@ -234,32 +242,50 @@ func (s *Store) AttachCache(c *vcache.Cache) int {
 	return n
 }
 
-// LookupMemo returns the payload recorded under (kind, key) in the frozen
-// read set loaded at Open. Records written this process (RecordMemo) are
-// never returned — they become visible only after Flush and a reopen,
-// which is what keeps memo answers independent of scheduling.
-func (s *Store) LookupMemo(kind, key string) ([]byte, bool) {
+// LookupMemo hands decode the payload recorded under (kind, key) in the
+// frozen read set loaded at Open and reports whether it was a hit: a
+// record was found and decode accepted it. A record decode rejects counts
+// as a decode failure, not a hit, and is marked stale so the caller's
+// recomputed result replaces it at the next Flush. decode runs outside the
+// store lock. Records written this process (RecordMemo) are never
+// returned — they become visible only after Flush and a reopen, which is
+// what keeps memo answers independent of scheduling.
+func (s *Store) LookupMemo(kind, key string, decode func(payload []byte) bool) bool {
+	mk := memoKey{Kind: kind, Key: key}
+	s.mu.Lock()
+	v, ok := s.memo[mk]
+	if !ok {
+		s.stats.MemoMisses++
+	}
+	s.mu.Unlock()
+	return ok && s.decoded(mk, decode(v))
+}
+
+// decoded counts a reader's verdict on the loaded record mk, marking a
+// rejected record stale, and returns the verdict.
+func (s *Store) decoded(mk memoKey, ok bool) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	v, ok := s.memo[memoKey{Kind: kind, Key: key}]
 	if ok {
 		s.stats.MemoHits++
 	} else {
-		s.stats.MemoMisses++
+		s.stats.MemoDecodeFailures++
+		s.stale[mk] = true
 	}
-	return v, ok
+	return ok
 }
 
 // RecordMemo queues payload under (kind, key) for the next Flush. The
 // first write wins; re-records of a key already queued or already in the
 // read set are dropped (payloads are required to be deterministic, so all
-// writers of one key carry identical bytes). Nil-safe no-op payloads are
-// copied, so callers may reuse their buffer.
+// writers of one key carry identical bytes) — unless the read-set record
+// is stale, which the new payload replaces. Payloads are copied, so
+// callers may reuse their buffer.
 func (s *Store) RecordMemo(kind, key string, payload []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	mk := memoKey{Kind: kind, Key: key}
-	if _, ok := s.memo[mk]; ok {
+	if _, ok := s.memo[mk]; ok && !s.stale[mk] {
 		return
 	}
 	if _, ok := s.pending[mk]; ok {
@@ -272,9 +298,11 @@ func (s *Store) RecordMemo(kind, key string, payload []byte) {
 }
 
 // MemoEach calls fn for every record of the given kind in the frozen read
-// set, in sorted key order. Pending records are not visited — like
-// LookupMemo, iteration sees only what was on disk at Open.
-func (s *Store) MemoEach(kind string, fn func(key string, payload []byte)) {
+// set, in sorted key order; fn reports whether it could use the record,
+// and a rejected record is counted and marked stale as in LookupMemo.
+// Pending records are not visited — like LookupMemo, iteration sees only
+// what was on disk at Open.
+func (s *Store) MemoEach(kind string, fn func(key string, payload []byte) bool) {
 	s.mu.Lock()
 	keys := make([]string, 0)
 	for mk := range s.memo {
@@ -289,13 +317,16 @@ func (s *Store) MemoEach(kind string, fn func(key string, payload []byte)) {
 	}
 	s.mu.Unlock()
 	for i, k := range keys {
-		fn(k, vals[i])
+		if !fn(k, vals[i]) {
+			s.decoded(memoKey{Kind: kind, Key: k}, false)
+		}
 	}
 }
 
 // Flush rewrites the store file atomically: the attached cache's current
 // snapshot (if one is attached), plus the union of the loaded and pending
-// memo sets, framed, written to a temp file, fsynced and renamed over the
+// memo sets (a pending record replaces the stale one it was recorded
+// for), framed, written to a temp file, fsynced and renamed over the
 // old file. The file is byte-deterministic for a given content: bodies
 // are sorted by fingerprint, aliases by key, memos by (kind, key).
 func (s *Store) Flush() error {
@@ -358,7 +389,9 @@ func (s *Store) Flush() error {
 		mks = append(mks, mk)
 	}
 	for mk := range s.pending {
-		mks = append(mks, mk)
+		if _, ok := s.memo[mk]; !ok {
+			mks = append(mks, mk)
+		}
 	}
 	sort.Slice(mks, func(i, j int) bool {
 		if mks[i].Kind != mks[j].Kind {
@@ -367,9 +400,9 @@ func (s *Store) Flush() error {
 		return mks[i].Key < mks[j].Key
 	})
 	for _, mk := range mks {
-		val, ok := s.memo[mk]
+		val, ok := s.pending[mk]
 		if !ok {
-			val = s.pending[mk]
+			val = s.memo[mk]
 		}
 		e := &encoder{}
 		e.str(mk.Kind)
@@ -412,6 +445,18 @@ func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.stats
+}
+
+// FillMetrics folds the memo counters into a metrics registry under the
+// "store." prefix. All of them are scheduling-independent (see Stats).
+// No-op when m is nil.
+func (s Stats) FillMetrics(m *trace.Metrics) {
+	if m == nil {
+		return
+	}
+	m.Add("store.memo_hits", s.MemoHits)
+	m.Add("store.memo_misses", s.MemoMisses)
+	m.Add("store.memo_decode_failures", s.MemoDecodeFailures)
 }
 
 // Recovery returns what Open found on disk.

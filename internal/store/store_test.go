@@ -155,11 +155,12 @@ func TestMemoFrozenReadSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.RecordMemo("rate", "k1", []byte("v1"))
-	if _, ok := s.LookupMemo("rate", "k1"); ok {
+	if _, ok := lookup(s, "rate", "k1"); ok {
 		t.Fatal("pending record visible before flush+reopen")
 	}
-	s.MemoEach("rate", func(key string, _ []byte) {
+	s.MemoEach("rate", func(key string, _ []byte) bool {
 		t.Fatalf("MemoEach visited pending record %q", key)
+		return true
 	})
 	// First write wins; duplicates are dropped.
 	s.RecordMemo("rate", "k1", []byte("other"))
@@ -174,19 +175,20 @@ func TestMemoFrozenReadSet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, ok := s2.LookupMemo("rate", "k1")
+	v, ok := lookup(s2, "rate", "k1")
 	if !ok || string(v) != "v1" {
 		t.Fatalf("reopened lookup = %q, %v; want v1, true", v, ok)
 	}
-	if _, ok := s2.LookupMemo("rate", "absent"); ok {
+	if _, ok := lookup(s2, "rate", "absent"); ok {
 		t.Fatal("absent key reported present")
 	}
 	visited := 0
-	s2.MemoEach("rate", func(key string, payload []byte) {
+	s2.MemoEach("rate", func(key string, payload []byte) bool {
 		visited++
 		if key != "k1" || string(payload) != "v1" {
 			t.Errorf("MemoEach visited %q=%q", key, payload)
 		}
+		return true
 	})
 	if visited != 1 {
 		t.Fatalf("MemoEach visited %d records, want 1", visited)
@@ -201,9 +203,44 @@ func TestMemoFrozenReadSet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := s3.LookupMemo("rate", "k1"); string(v) != "v1" {
+	if v, _ := lookup(s3, "rate", "k1"); string(v) != "v1" {
 		t.Fatalf("read set clobbered across flush: %q", v)
 	}
+
+	// A record its reader rejects is a decode failure, not a hit, every
+	// time it is read; it stays in the read set (marked stale), and the
+	// fresh record written in its place replaces it at the next flush.
+	reject := func([]byte) bool { return false }
+	if s3.LookupMemo("rate", "k1", reject) || s3.LookupMemo("rate", "k1", reject) {
+		t.Fatal("rejected record reported as a hit")
+	}
+	s3.MemoEach("rate", func(string, []byte) bool { return false })
+	if st := s3.Stats(); st.MemoHits != 1 || st.MemoDecodeFailures != 3 {
+		t.Fatalf("stats = %+v, want 1 memo hit / 3 decode failures", st)
+	}
+	s3.RecordMemo("rate", "k1", []byte("v2"))
+	if err := s3.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	s4, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := lookup(s4, "rate", "k1"); string(v) != "v2" {
+		t.Fatalf("stale record not replaced across flush: %q", v)
+	}
+	if st := s4.Stats(); st.Memos != 1 || st.MemoDecodeFailures != 0 {
+		t.Fatalf("reopened stats = %+v, want 1 record, 0 decode failures", st)
+	}
+}
+
+// lookup reads (kind, key) from s's read set, accepting any payload.
+func lookup(s *Store, kind, key string) (payload []byte, ok bool) {
+	ok = s.LookupMemo(kind, key, func(p []byte) bool {
+		payload = p
+		return true
+	})
+	return payload, ok
 }
 
 // TestCorruptTailRecovery mirrors the fault journal's recovery contract:
@@ -250,10 +287,10 @@ func TestCorruptTailRecovery(t *testing.T) {
 	if r.Records != 2 || !r.TornTail || r.DroppedBytes == 0 {
 		t.Fatalf("corrupt-tail recovery = %+v, want 2 records kept + torn tail", r)
 	}
-	if _, ok := s2.LookupMemo("rate", "a"); !ok {
+	if _, ok := lookup(s2, "rate", "a"); !ok {
 		t.Error("record before the corruption lost")
 	}
-	if _, ok := s2.LookupMemo("rate", "c"); ok {
+	if _, ok := lookup(s2, "rate", "c"); ok {
 		t.Error("record at the corruption survived")
 	}
 
@@ -362,7 +399,7 @@ func TestStoreStatsConsistentUnderRace(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				key := string(rune('a' + (i % 7)))
-				s.LookupMemo("rate", key)
+				lookup(s, "rate", key)
 				s.RecordMemo("rate", key, []byte{byte(g)})
 			}
 		}()

@@ -75,7 +75,7 @@ type entry struct {
 // Stats is a snapshot of the cache's counters. All totals are
 // scheduling-independent (see the package comment).
 type Stats struct {
-	// Lookups is the number of GetOrCompile calls; Hits the calls answered
+	// Lookups is the number of Resolve calls; Hits the calls answered
 	// without compiling; Misses the compilations performed.
 	Lookups int64
 	Hits    int64
@@ -167,13 +167,22 @@ type Resolution struct {
 }
 
 // Resolve returns the frozen version for key, invoking compile at most
-// once per distinct key.
+// once per distinct key. A nil *Cache memoizes nothing: every call
+// compiles, freezes and fingerprints, and no counter moves.
 //
 // compile runs under the cache lock: concurrent requesters of the same key
 // block until the first finishes, so exactly one compilation happens and
 // the miss count equals the number of distinct keys — independent of
 // scheduling. Compile errors are returned and not cached.
 func (c *Cache) Resolve(key Key, compile func() (*sim.Version, error)) (Resolution, error) {
+	if c == nil {
+		v, err := compile()
+		if err != nil {
+			return Resolution{}, err
+		}
+		v.Freeze()
+		return Resolution{V: v, FP: Fingerprint128(v)}, nil
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.stats.Lookups++
@@ -209,16 +218,6 @@ func (c *Cache) Resolve(key Key, compile func() (*sim.Version, error)) (Resoluti
 	c.entries[key] = e
 	c.stats.Entries++
 	return Resolution{V: e.v, FP: e.fp, Shared: e.shared}, nil
-}
-
-// GetOrCompile is Resolve narrowed to the pre-store signature: the frozen
-// version, the low 64 fingerprint bits (Fingerprint), and the shared bit.
-func (c *Cache) GetOrCompile(key Key, compile func() (*sim.Version, error)) (v *sim.Version, fp uint64, shared bool, err error) {
-	r, err := c.Resolve(key, compile)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	return r.V, r.FP.Lo, r.Shared, nil
 }
 
 // SnapshotEntry is one exported cache key: its full fingerprint addresses
@@ -318,9 +317,13 @@ func (c *Cache) Preload(sn Snapshot) int {
 
 // MarkQuarantined records that key's compilation failed golden-output
 // verification. The mark is observability (Stats.Quarantined, Quarantined)
-// — GetOrCompile still serves the entry, because every tune re-verifies its
-// own resolutions and the verdict is deterministic. No-op for unknown keys.
+// — Resolve still serves the entry, because every tune re-verifies its
+// own resolutions and the verdict is deterministic. No-op for unknown keys
+// and for a nil cache.
 func (c *Cache) MarkQuarantined(key Key) {
+	if c == nil {
+		return
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.entries[key]; ok && !e.quarantined {

@@ -1,6 +1,7 @@
 package vcache
 
 import (
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -30,19 +31,19 @@ func compileBench(t *testing.T, name string) (key func(fs opt.FlagSet) Key, comp
 	return key, compile
 }
 
-func TestGetOrCompileHitReturnsSameVersion(t *testing.T) {
+func TestResolveHitReturnsSameVersion(t *testing.T) {
 	key, compile := compileBench(t, "SWIM")
 	c := New()
-	v1, fp1, _, err := c.GetOrCompile(key(opt.O3()), compile(opt.O3()))
+	r1, err := c.Resolve(key(opt.O3()), compile(opt.O3()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, fp2, _, err := c.GetOrCompile(key(opt.O3()), compile(opt.O3()))
+	r2, err := c.Resolve(key(opt.O3()), compile(opt.O3()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v1 != v2 || fp1 != fp2 {
-		t.Fatalf("cache hit returned a different version (%p vs %p) or fingerprint (%x vs %x)", v1, v2, fp1, fp2)
+	if r1.V != r2.V || r1.FP != r2.FP {
+		t.Fatalf("cache hit returned a different version (%p vs %p) or fingerprint (%s vs %s)", r1.V, r2.V, r1.FP, r2.FP)
 	}
 	st := c.Stats()
 	if st.Lookups != 2 || st.Hits != 1 || st.Misses != 1 || st.Entries != 1 {
@@ -51,26 +52,73 @@ func TestGetOrCompileHitReturnsSameVersion(t *testing.T) {
 	if st.Bytes <= 0 {
 		t.Fatalf("expected positive byte estimate, got %d", st.Bytes)
 	}
+
+	// A nil cache compiles on every call — a fresh version each time, with
+	// the same full fingerprint, frozen — and counts nothing.
+	var none *Cache
+	n1, err := none.Resolve(key(opt.O3()), compile(opt.O3()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n2, err := none.Resolve(key(opt.O3()), compile(opt.O3()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n1.FP != r1.FP || n2.FP != r1.FP {
+		t.Fatalf("nil-cache fingerprints %s, %s; cached %s", n1.FP, n2.FP, r1.FP)
+	}
+	if n1.V == n2.V || n1.V == r1.V || n1.Shared || n1.FromDisk {
+		t.Fatalf("nil cache memoized: %+v / %+v", n1, n2)
+	}
+	if got := c.Stats(); got != st {
+		t.Fatalf("nil-cache Resolve changed stats: %+v, want %+v", got, st)
+	}
+	runConcurrently(t, "SWIM", n1.V)
+}
+
+// runConcurrently executes v from two goroutines with private runners.
+// Only a frozen version is safe to share this way, so under the race
+// detector this fails for a version published unfrozen.
+func runConcurrently(t *testing.T, bench string, v *sim.Version) {
+	t.Helper()
+	b, _ := workloads.ByName(bench)
+	m := machine.SPARCII()
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			mem := sim.NewMemory(b.Prog)
+			rng := rand.New(rand.NewSource(seed))
+			b.Train.Setup(mem, rng)
+			if _, _, err := sim.NewRunner(m, mem, seed).Run(v, b.Train.Args(0, mem, rng)); err != nil {
+				t.Error(err)
+			}
+		}(int64(g))
+	}
+	wg.Wait()
 }
 
 func TestContentDedupSharesIdenticalCode(t *testing.T) {
 	key, compile := compileBench(t, "SWIM")
 	c := New()
 	base := opt.O3()
-	bv, bfp, _, err := c.GetOrCompile(key(base), compile(base))
+	br, err := c.Resolve(key(base), compile(base))
 	if err != nil {
 		t.Fatal(err)
 	}
-	seen := map[uint64]*sim.Version{bfp: bv}
+	bv := br.V
+	seen := map[uint64]*sim.Version{br.FP.Lo: bv}
 	sharedFlags := 0
 	for _, f := range opt.AllFlags() {
 		fs := base.Without(f)
-		v, fp, shared, err := c.GetOrCompile(key(fs), compile(fs))
+		r, err := c.Resolve(key(fs), compile(fs))
 		if err != nil {
 			t.Fatal(err)
 		}
+		v, fp := r.V, r.FP.Lo
 		if prev, ok := seen[fp]; ok {
-			if !shared {
+			if !r.Shared {
 				t.Fatalf("flag %s: fingerprint seen before but shared=false", f)
 			}
 			if v != prev {
@@ -125,7 +173,7 @@ func TestFingerprintIgnoresLabel(t *testing.T) {
 	}
 }
 
-func TestConcurrentGetOrCompile(t *testing.T) {
+func TestConcurrentResolve(t *testing.T) {
 	key, compile := compileBench(t, "SWIM")
 	c := New()
 	flags := []opt.FlagSet{opt.O3()}
@@ -141,12 +189,12 @@ func TestConcurrentGetOrCompile(t *testing.T) {
 			defer wg.Done()
 			got[g] = make([]*sim.Version, len(flags))
 			for i, fs := range flags {
-				v, _, _, err := c.GetOrCompile(key(fs), compile(fs))
+				r, err := c.Resolve(key(fs), compile(fs))
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				got[g][i] = v
+				got[g][i] = r.V
 			}
 		}(g)
 	}
@@ -178,7 +226,7 @@ func TestMarkQuarantined(t *testing.T) {
 	if c.Stats().Quarantined != 0 {
 		t.Fatal("marking an unknown key changed stats")
 	}
-	if _, _, _, err := c.GetOrCompile(k, compile(opt.O3())); err != nil {
+	if _, err := c.Resolve(k, compile(opt.O3())); err != nil {
 		t.Fatal(err)
 	}
 	c.MarkQuarantined(k)
@@ -190,8 +238,8 @@ func TestMarkQuarantined(t *testing.T) {
 		t.Errorf("Stats.Quarantined = %d, want 1", got)
 	}
 	// The entry is still served: tunes re-verify their own resolutions.
-	if v, _, _, err := c.GetOrCompile(k, compile(opt.O3())); err != nil || v == nil {
-		t.Errorf("quarantined entry not served: %v, %v", v, err)
+	if r, err := c.Resolve(k, compile(opt.O3())); err != nil || r.V == nil {
+		t.Errorf("quarantined entry not served: %v, %v", r.V, err)
 	}
 }
 
@@ -387,7 +435,7 @@ func TestHitRateZeroLookups(t *testing.T) {
 	c := New()
 	k := key(opt.O3())
 	for i := 0; i < 4; i++ {
-		if _, _, _, err := c.GetOrCompile(k, compile(opt.O3())); err != nil {
+		if _, err := c.Resolve(k, compile(opt.O3())); err != nil {
 			t.Fatal(err)
 		}
 	}
